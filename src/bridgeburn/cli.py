@@ -5,7 +5,8 @@ arena, exhaust.  Output is JSON by default (one schema per command, keys
 stable, newline-terminated); --pretty switches to human-readable text.
 
 Exit codes: 0 success, 1 game/domain error, 2 input error, 3 explored-state
-budget exceeded.
+budget exceeded.  `exploredStates` and `--budget` count the states of the
+solver's quotient game space (see `bridgeburn.solver`), not raw game states.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _add_common(p, family=True, budget=False):
     p.add_argument("--pretty", action="store_true", help="human-readable output")
     if budget:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="explored-state cap (default 10^7)")
+                       help="explored-state cap, in quotient states (default 10^7)")
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -17,6 +17,9 @@ from .graph import Graph, component_bitmask
 
 COP_TURN = 0
 ROBBER_TURN = 1
+# PackedGame.kind of a terminal state; live states have their phase as kind
+CAPTURED = 2
+ESCAPED = 3
 
 ROBBER = -1  # MoveRecord.actor value for the robber; cops use their index
 
@@ -124,6 +127,154 @@ def robber_component_check(g: Graph, s: GameState) -> bool:
     """
     comp = component_bitmask(g, s.robber, s.burned)
     return any(comp >> c & 1 for c in s.cops)
+
+
+# --- packed states -----------------------------------------------------------
+
+
+class PackedGame:
+    """The same rules on states packed into one int, for one graph and k cops.
+
+    With w = n.bit_length() bits per vertex (enough for 0..n), a key is,
+    from the low bits up:
+
+        phase (1 bit) | k cops in ascending order (w bits each) | robber (w bits) | burned mask
+
+    Vertex n is a sentinel with no moves; only `canonical` puts cops there.
+    `cop_successors` and `robber_successors` are the module-level rules
+    computed on keys from per-vertex (neighbour, edge-bit) tables.
+    """
+
+    def __init__(self, g: Graph, k: int, variant: Variant = BRIDGE_BURNING):
+        n = g.vertex_count
+        w = n.bit_length()
+        self.g = g
+        self.k = k
+        self.burning = variant.burning
+        self.sentinel = n
+        self.width = w
+        self.vertex_mask = (1 << w) - 1
+        self.robber_shift = 1 + k * w
+        self.cop_shifts = tuple(range(1, self.robber_shift, w))
+        self.cops_mask = ((1 << k * w) - 1) << 1
+        self.all_sentinel = sum(n << shift for shift in self.cop_shifts)
+        self.moves = tuple(
+            tuple((y, 1 << eid) for (y, eid) in adj) for adj in g.adjacency
+        ) + ((),)
+        self.incident = [g.incident_edge_bits(v) for v in range(n)]
+        # (burned << w | robber) -> (robber's component, canonical high bits)
+        self._views: dict[int, tuple[int, int]] = {}
+
+    def pack_cops(self, cops) -> int:
+        key = 0
+        for c, shift in zip(sorted(cops), self.cop_shifts):
+            key |= c << shift
+        return key
+
+    def cops(self, key: int) -> list[int]:
+        m = self.vertex_mask
+        return [key >> shift & m for shift in self.cop_shifts]
+
+    def encode(self, s: GameState) -> int:
+        if len(s.cops) != self.k:
+            raise ValueError(f"state has {len(s.cops)} cops, expected {self.k}")
+        high = (s.burned << self.width | s.robber) << self.robber_shift
+        return high | self.pack_cops(s.cops) | s.phase
+
+    def decode(self, key: int) -> GameState:
+        """The GameState of a key; a sentinel cop decodes as vertex n."""
+        high = key >> self.robber_shift
+        return GameState(
+            high >> self.width, tuple(self.cops(key)), high & self.vertex_mask, key & 1
+        )
+
+    def cop_successors(self, key: int) -> list[int]:
+        """RobberTurn keys of every cop-team move, deduplicated."""
+        burned = key >> (self.robber_shift + self.width)
+        head = key >> self.robber_shift << self.robber_shift | ROBBER_TURN
+        options = []
+        for c in self.cops(key):
+            opts = [c]
+            for (y, bit) in self.moves[c]:
+                if not burned & bit:
+                    opts.append(y)
+            options.append(opts)
+        # One and two cops, the solver's common cases, get direct code:
+        # with the general product alone for either, the solve benchmarks
+        # take 8-29% longer.
+        if self.k == 1:
+            return [head | d << 1 for d in options[0]]
+        if self.k == 2:
+            (first, second), s = options, self.cop_shifts[1]
+            return list({
+                head | (a << 1 | b << s if a <= b else b << 1 | a << s)
+                for a in first
+                for b in second
+            })
+        return list({head | self.pack_cops(m) for m in itertools.product(*options)})
+
+    def robber_successors(self, key: int) -> list[int]:
+        """CopTurn keys of the robber's stay, then one per unburned incident edge."""
+        w, shift = self.width, self.robber_shift
+        high = key >> shift
+        r = high & self.vertex_mask
+        burned = high >> w
+        cops = key & self.cops_mask
+        out = [key ^ ROBBER_TURN]
+        for (y, bit) in self.moves[r]:
+            if not burned & bit:
+                mask = burned | bit if self.burning else burned
+                out.append((mask << w | y) << shift | cops)
+        return out
+
+    def canonical(self, key: int) -> int:
+        """The key with what can no longer matter quotiented out.
+
+        Burned bits of edges with no endpoint in the robber's component are
+        cleared, and every cop outside that component moves to the
+        sentinel.  Burning only splits components, so such cops can never
+        reach the robber again, and such edges can only ever be next to
+        such cops.  A state is escaped iff all its cops are at the sentinel.
+        """
+        high = key >> self.robber_shift
+        view = self._views.get(high)
+        if view is None:
+            view = self._views[high] = self._view(high)
+        comp, head = view
+        if self.k == 1:  # direct, as in cop_successors
+            c = key >> 1 & self.vertex_mask
+            return head | (c if comp >> c & 1 else self.sentinel) << 1 | key & 1
+        cops = self.cops(key)
+        if all(comp >> c & 1 for c in cops):
+            return head | key & self.cops_mask | key & 1
+        n = self.sentinel
+        return head | self.pack_cops(c if comp >> c & 1 else n for c in cops) | key & 1
+
+    def _view(self, high: int) -> tuple[int, int]:
+        w = self.width
+        r = high & self.vertex_mask
+        burned = high >> w
+        comp = component_bitmask(self.g, r, burned)
+        near = 0
+        for v, bits in enumerate(self.incident):
+            if comp >> v & 1:
+                near |= bits
+        return comp, ((burned & near) << w | r) << self.robber_shift
+
+    def escaped(self, key: int) -> bool:
+        """For canonical keys: no cop is left in the robber's component."""
+        return key & self.cops_mask == self.all_sentinel
+
+    def kind(self, key: int) -> int:
+        """CAPTURED, ESCAPED, or else the phase; ESCAPED needs a canonical key."""
+        if self.escaped(key):
+            return ESCAPED
+        m = self.vertex_mask
+        r = key >> self.robber_shift & m
+        for shift in self.cop_shifts:
+            if key >> shift & m == r:
+                return CAPTURED
+        return key & 1
 
 
 # --- transcripts -------------------------------------------------------------

@@ -205,25 +205,6 @@ class Grid2xnCopTeam(Policy):
                 return step
         return self._fallback(g, state, c)
 
-    def _row_return_blocked(self, g, state, c, side) -> bool:
-        """Can the robber still reach the cop's row on the guarded side?"""
-        burned, r = state.burned, state.robber
-        crow, ccol = self._row(c), self._col(c)
-        seen = 1 << r
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            for (y, eid) in g.adjacency[x]:
-                if burned >> eid & 1 or y == c or seen >> y & 1:
-                    continue
-                if self._row(y) == crow and (
-                    self._col(y) < ccol if side == LEFT else self._col(y) > ccol
-                ):
-                    return False
-                seen |= 1 << y
-                stack.append(y)
-        return True
-
     def _fallback(self, g, state, c) -> int:
         """Greedy finisher: shortest-path step in the burned graph."""
         dist = all_distances_from(g, state.robber, state.burned)

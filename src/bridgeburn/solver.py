@@ -15,6 +15,27 @@ Ranks count half-turns; a capture on the cop half-turn of round t has
 rank 2t-1 from the round-t CopTurn state, and a robber move into capture
 has rank 2t, so rounds = ceil(rank / 2).
 
+States are `engine.PackedGame` keys: one int holding, from the low bits
+up, the phase, the sorted cops, the robber and the burned-edge mask.
+The initial state and every robber-move successor are put into canonical
+form by two quotients:
+
+* burned bits of edges with no endpoint in the robber's component are
+  cleared;
+* every cop outside the robber's component moves to a sentinel vertex n
+  that has no moves, and the cops are re-sorted.
+
+Both are sound because burning only splits components.  A cop outside
+the robber's component can never reach the robber again, so only its
+absence matters; an edge with no endpoint in that component can only
+ever be next to such cops, so whether it is burned cannot matter.  A cop move
+changes neither the burned mask nor the robber's component, so cop-move
+successors need no re-canonicalizing.  A state whose cops are all at the
+sentinel is an escape.  A RobberTurn state with an escaping move is a
+robber win, so its other successors are never generated.
+`explored_states`, the CLI's `exploredStates` and every budget count
+these quotient states.
+
 The reachable graph is grown in stages (horizon doubling).  States past
 the current horizon count as robber wins, which is pessimistic for the
 cop, so a cop win certified with rank below the horizon is exact; robber
@@ -26,31 +47,45 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .engine import (
     BRIDGE_BURNING,
+    CAPTURED,
     COP_TURN,
+    ESCAPED,
     ROBBER_TURN,
     GameState,
+    PackedGame,
     Variant,
     cop_successors,
     is_capture,
     robber_successors,
 )
-from .graph import Graph, component_bitmask, is_connected
+from .graph import Graph, is_connected
 
 DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceeded(Exception):
-    """Raised when a solve touches more states than its budget allows."""
+    """Raised when a solve touches more states than its budget allows.
+
+    `explored` is the running total at which the search stopped; for the
+    solver that is the budget itself, whatever the thread count.
+    """
 
     def __init__(self, explored: int):
         super().__init__(f"explored-state budget exceeded ({explored} states)")
         self.explored = explored
+
+    def __reduce__(self):
+        # Rebuild from the count, not the message, when a worker raises it.
+        return (BudgetExceeded, (self.explored,))
+
+
+class SolverInvariantError(RuntimeError):
+    """A result broke a property the solver guarantees; a solver bug."""
 
 
 class DisconnectedGraphError(ValueError):
@@ -97,120 +132,98 @@ class CopNumberResult:
 
 
 class _GameSpace:
-    """Reachable game graph from one initial state, grown stage by stage."""
+    """Reachable quotient game graph from one initial state, grown stage by stage.
 
-    KIND_COP = 0
-    KIND_ROBBER = 1
-    KIND_CAPTURED = 2
-    KIND_ESCAPED = 3
+    Expansion goes one breadth-first layer at a time, so after
+    `expand_to(h)` every live state of depth < h is expanded and no deeper
+    one is.
+    """
 
     def __init__(self, g: Graph, init: GameState, variant: Variant, budget: int | None):
-        self.g = g
-        self.variant = variant
+        self.game = game = PackedGame(g, len(init.cops), variant)
         self.budget = budget
-        self.ids: dict[GameState, int] = {}
-        self.keys: list[GameState] = []
-        self.kind: list[int] = []
-        self.depth: list[int] = []
+        self.ids: dict[int, int] = {}
+        self.keys: list[int] = []
+        self.kind = bytearray()
         self.preds: list[list[int]] = []
         self.robber_succ_count: list[int] = []
         self.captured_ids: list[int] = []
-        self._comp_cache: dict[tuple[int, int], int] = {}
-        self._queue: deque[int] = deque()
-        self._fully_expanded = False
-        self._intern(init.canonical(), 0)
+        self._layer: list[int] = []  # unexpanded live states, all of one depth
+        self._depth = 0
+        self._intern(game.canonical(game.encode(init)))
 
-    def _component(self, burned: int, robber: int) -> int:
-        key = (burned, robber)
-        comp = self._comp_cache.get(key)
-        if comp is None:
-            comp = component_bitmask(self.g, robber, burned)
-            self._comp_cache[key] = comp
-        return comp
-
-    def _classify(self, s: GameState) -> int:
-        if s.robber in s.cops:
-            return self.KIND_CAPTURED
-        comp = self._component(s.burned, s.robber)
-        if not any(comp >> c & 1 for c in s.cops):
-            return self.KIND_ESCAPED
-        return self.KIND_COP if s.phase == COP_TURN else self.KIND_ROBBER
-
-    def _intern(self, s: GameState, depth: int) -> int:
-        sid = self.ids.get(s)
-        if sid is not None:
-            return sid
+    def _intern(self, key: int) -> int:
         sid = len(self.keys)
         if self.budget is not None and sid >= self.budget:
             raise BudgetExceeded(sid)
-        self.ids[s] = sid
-        self.keys.append(s)
-        k = self._classify(s)
-        self.kind.append(k)
-        self.depth.append(depth)
+        self.ids[key] = sid
+        self.keys.append(key)
+        kind = self.game.kind(key)
+        if kind == CAPTURED:
+            self.captured_ids.append(sid)
+        elif kind != ESCAPED:
+            self._layer.append(sid)
+        self.kind.append(kind)
         self.preds.append([])
         self.robber_succ_count.append(0)
-        if k == self.KIND_CAPTURED:
-            self.captured_ids.append(sid)
-        elif k in (self.KIND_COP, self.KIND_ROBBER):
-            self._queue.append(sid)
         return sid
 
-    def successors(self, s: GameState) -> list[GameState]:
-        if s.phase == COP_TURN:
-            return cop_successors(self.g, s)
-        return [t for (t, _mv) in robber_successors(self.g, s, self.variant)]
-
     def expand_to(self, horizon: int) -> None:
-        """Expand every queued state of depth < horizon."""
-        q = self._queue
-        while q and self.depth[q[0]] < horizon:
-            sid = q.popleft()
-            s = self.keys[sid]
-            d = self.depth[sid] + 1
-            succ_ids = [self._intern(t, d) for t in self.successors(s)]
-            if self.kind[sid] == self.KIND_ROBBER:
-                self.robber_succ_count[sid] = len(succ_ids)
-            for t in succ_ids:
-                self.preds[t].append(sid)
-        if not q:
-            self._fully_expanded = True
+        """Expand every live state of depth < horizon.
+
+        A cop move changes neither the burned mask nor the robber's
+        component, so only robber moves need `canonical`.
+        """
+        ids, keys, kind, preds, intern = self.ids, self.keys, self.kind, self.preds, self._intern
+        game = self.game
+        canonical, escaped = game.canonical, game.escaped
+        cop_moves, robber_moves = game.cop_successors, game.robber_successors
+        while self._layer and self._depth < horizon:
+            layer, self._layer = self._layer, []
+            for sid in layer:
+                if kind[sid] == ROBBER_TURN:
+                    succ = [canonical(t) for t in robber_moves(keys[sid])]
+                    if any(map(escaped, succ)):
+                        continue  # a robber win: never in W, so no successors needed
+                    self.robber_succ_count[sid] = len(succ)
+                else:
+                    succ = cop_moves(keys[sid])
+                for t in succ:
+                    tid = ids.get(t)
+                    if tid is None:
+                        tid = intern(t)
+                    preds[tid].append(sid)
+            self._depth += 1
 
     @property
     def fully_expanded(self) -> bool:
-        return self._fully_expanded
-
-    def frontier_ids(self) -> set[int]:
-        return set(self._queue)
+        return not self._layer
 
     def run_attractor(self) -> tuple[bytearray, list[int]]:
-        """Retrograde pass; returns (in-W flags, half-turn ranks)."""
-        n = len(self.keys)
-        won = bytearray(n)
-        rank = [0] * n
+        """Retrograde pass; returns (in-W flags, half-turn ranks).
+
+        Only expanded states have predecessors, so unexpanded states stay
+        out of W unless captured: pessimistic for the cop side.
+        """
+        won = bytearray(len(self.keys))
+        rank = [0] * len(self.keys)
         pending = self.robber_succ_count.copy()
-        frontier = self.frontier_ids()
-        # Unexpanded states stay out of W: pessimistic for the cop side.
-        bfs: deque[int] = deque()
-        for sid in self.captured_ids:
+        kind, preds = self.kind, self.preds
+        bfs = self.captured_ids.copy()
+        for sid in bfs:
             won[sid] = 1
-            bfs.append(sid)
-        while bfs:
-            sid = bfs.popleft()
+        for sid in bfs:  # grows while iterated: a breadth-first queue
             r1 = rank[sid] + 1
-            for p in self.preds[sid]:
-                if won[p] or p in frontier:
+            for p in preds[sid]:
+                if won[p]:
                     continue
-                if self.kind[p] == self.KIND_COP:
-                    won[p] = 1
-                    rank[p] = r1
-                    bfs.append(p)
-                else:
+                if kind[p] == ROBBER_TURN:
                     pending[p] -= 1
-                    if pending[p] == 0:
-                        won[p] = 1
-                        rank[p] = r1
-                        bfs.append(p)
+                    if pending[p]:
+                        continue
+                won[p] = 1
+                rank[p] = r1
+                bfs.append(p)
         return won, rank
 
 
@@ -255,29 +268,45 @@ def extract_strategy(
     variant: Variant = BRIDGE_BURNING,
     budget: int | None = DEFAULT_BUDGET,
 ) -> dict[GameState, GameState] | None:
-    """Optimal cop move per winning CopTurn state, or None if the robber wins.
+    """Optimal cop moves from `state`, or None if the robber wins.
 
+    The quotient space is solved once; the strategy is then read off by
+    walking real states forward: the chosen cop move, and every robber
+    reply.  The result maps each CopTurn state of that walk to its move.
     The chosen move minimizes the attractor rank, ties broken by smallest
     successor state, so the mapping is deterministic.
     """
     state = state.canonical()
+    _validate_state(g, state)
     space = _GameSpace(g, state, variant, budget)
-    while not space.fully_expanded:
-        space.expand_to(1 << 62)
+    space.expand_to(1 << 62)
     won, rank = space.run_attractor()
     if not won[0]:
         return None
+    game = space.game
     strategy: dict[GameState, GameState] = {}
-    for sid, s in enumerate(space.keys):
-        if not won[sid] or space.kind[sid] != space.KIND_COP:
+    seen = {state}
+    todo = [state]
+    while todo:
+        s = todo.pop()
+        if is_capture(s):
             continue
-        best: tuple[int, GameState] | None = None
-        for t in space.successors(s):
-            tid = space.ids[t]
-            if won[tid] and (best is None or (rank[tid], t) < best):
-                best = (rank[tid], t)
-        assert best is not None
-        strategy[s] = best[1]
+        if s.phase == COP_TURN:
+            best: tuple[int, GameState] | None = None
+            for t in cop_successors(g, s):
+                tid = space.ids.get(game.canonical(game.encode(t)))
+                if tid is not None and won[tid] and (best is None or (rank[tid], t) < best):
+                    best = (rank[tid], t)
+            if best is None:
+                raise SolverInvariantError(f"winning state {s} has no winning cop move")
+            strategy[s] = best[1]
+            nexts = [best[1]]
+        else:
+            nexts = [t for (t, _mv) in robber_successors(g, s, variant)]
+        for t in nexts:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
     return strategy
 
 
@@ -320,8 +349,6 @@ def _evaluate_placement(
     worst = 0
     for r in starts:
         remaining = None if budget is None else budget - explored
-        if remaining is not None and remaining <= 0:
-            raise BudgetExceeded(explored)
         try:
             val = solve_position(g, GameState(0, placement, r, COP_TURN), variant, remaining)
         except BudgetExceeded as e:
@@ -363,16 +390,19 @@ def cop_wins_with_k(
     placements = list(itertools.combinations_with_replacement(range(g.vertex_count), k))
     nworkers = _thread_count(threads)
     if nworkers > 1 and len(placements) > 1:
-        # Parallel tasks each own the full budget (no shared mutable state).
+        # Tasks share no state, so each gets the whole budget; the total is
+        # checked after the merge, which makes the outcome the sequential one.
+        # The sequential path stops when its running total reaches the
+        # budget, so that is the count reported.
         outcomes = _evaluate_parallel(g, placements, variant, budget, nworkers)
         explored = sum(o.explored for o in outcomes)
+        if budget is not None and explored > budget:
+            raise BudgetExceeded(budget)
     else:
         outcomes = []
         explored = 0
         for p in placements:
             remaining = None if budget is None else budget - explored
-            if remaining is not None and remaining <= 0:
-                raise BudgetExceeded(explored)
             try:
                 outcomes.append(_evaluate_placement(g, p, variant, remaining))
             except BudgetExceeded as e:
@@ -425,6 +455,12 @@ def capture_time_bb(
     res = cop_wins_with_k(g, 1, BRIDGE_BURNING, budget, threads)
     if res.winner != "cop":
         raise CaptureTimeDomainError("capture time is defined only when c_b(G) = 1")
-    assert res.capture_time_rounds is not None
-    assert res.capture_time_rounds <= g.edge_count * g.vertex_count
+    if res.capture_time_rounds is None:
+        raise SolverInvariantError("a cop win must report its capture rounds")
+    if res.capture_time_rounds > g.edge_count * g.vertex_count:
+        # The paper's bound capt_b(G) <= |E| * n.
+        raise SolverInvariantError(
+            f"capture time {res.capture_time_rounds} exceeds |E| * n = "
+            f"{g.edge_count * g.vertex_count}"
+        )
     return res

@@ -1,0 +1,96 @@
+"""The packed rules of engine.PackedGame against the GameState rules.
+
+Before `canonical`, packed successors must decode to exactly what
+`cop_successors` / `robber_successors` return, on every reachable state.
+"""
+
+import itertools
+
+import pytest
+
+from bridgeburn.engine import (
+    BRIDGE_BURNING,
+    CAPTURED,
+    CLASSIC,
+    COP_TURN,
+    ESCAPED,
+    ROBBER_TURN,
+    GameState,
+    PackedGame,
+    cop_successors,
+    is_capture,
+    robber_successors,
+)
+from bridgeburn.graph import build_graph
+
+
+def _reachable(g, k, variant):
+    """Every state reachable from any placement and start, captures excluded."""
+    todo = [
+        GameState(0, cops, r, COP_TURN)
+        for cops in itertools.combinations_with_replacement(range(g.vertex_count), k)
+        for r in range(g.vertex_count)
+        if r not in cops
+    ]
+    seen = set(todo)
+    while todo:
+        s = todo.pop()
+        yield s
+        if s.phase == COP_TURN:
+            nexts = cop_successors(g, s)
+        else:
+            nexts = [t for (t, _mv) in robber_successors(g, s, variant)]
+        for t in nexts:
+            if t not in seen and not is_capture(t):
+                seen.add(t)
+                todo.append(t)
+
+
+@pytest.mark.parametrize("variant", [BRIDGE_BURNING, CLASSIC])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "family,params",
+    [("path", (4,)), ("cycle", (4,)), ("complete", (4,)), ("spider", (1, 2)), ("grid", (2, 3))],
+)
+def test_packed_successors_match_rules(fam, family, params, k, variant):
+    g = fam(family, *params)
+    game = PackedGame(g, k, variant)
+    states = 0
+    for s in _reachable(g, k, variant):
+        states += 1
+        key = game.encode(s)
+        assert game.decode(key) == s
+        if s.phase == COP_TURN:
+            got = game.cop_successors(key)
+            assert len(set(got)) == len(got)
+            assert sorted(map(game.decode, got)) == sorted(cop_successors(g, s))
+        else:
+            want = [t for (t, _mv) in robber_successors(g, s, variant)]
+            assert [game.decode(t) for t in game.robber_successors(key)] == want
+    assert states > 20
+
+
+def test_canonical_clears_far_edges_and_parks_far_cops():
+    # path 0-1-2-3-4; burning 1-2 cuts the robber's side {2, 3, 4} off
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    game = PackedGame(g, 2)
+    s = GameState(0b0011, (0, 2), 4, COP_TURN)
+    key = game.canonical(game.encode(s))
+    # edge 0-1 has no endpoint on the robber's side; edge 1-2 has one
+    assert game.decode(key) == GameState(0b0010, (2, 5), 4, COP_TURN)
+    assert game.kind(key) == COP_TURN
+    assert game.canonical(key) == key
+    # cop moves keep the quotient: the sentinel cop has no moves
+    assert sorted(game.decode(t).cops for t in game.cop_successors(key)) == [
+        (2, 5), (3, 5)
+    ]
+
+
+def test_kind_of_terminal_keys():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    game = PackedGame(g, 2)
+    cut = 1 << g.edge_id(1, 2)
+    escaped = game.canonical(game.encode(GameState(cut, (0, 1), 3, ROBBER_TURN)))
+    assert game.decode(escaped).cops == (4, 4)
+    assert game.kind(escaped) == ESCAPED
+    assert game.kind(game.encode(GameState(0, (1, 3), 3, COP_TURN))) == CAPTURED

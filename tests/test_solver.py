@@ -1,6 +1,13 @@
 import pytest
 
-from bridgeburn.engine import BRIDGE_BURNING, CLASSIC, COP_TURN, GameState
+from bridgeburn.engine import (
+    CLASSIC,
+    COP_TURN,
+    GameState,
+    PackedGame,
+    is_capture,
+    robber_successors,
+)
 from bridgeburn.graph import build_graph
 from bridgeburn.solver import (
     BudgetExceeded,
@@ -155,8 +162,6 @@ def test_strategy_extraction_consistent(fam):
     strat = extract_strategy(g, init)
     assert strat is not None
     # following the strategy from the initial state reaches capture
-    from bridgeburn.engine import robber_successors
-
     state = init
     for _ in range(40):
         if state.robber in state.cops:
@@ -167,6 +172,49 @@ def test_strategy_extraction_consistent(fam):
             # adversarial robber: any successor must still be losing for him
             state = max(robber_successors(g, state), key=lambda p: p[0].burned)[0]
     assert state.robber in state.cops
+
+
+def test_strategy_walk_beats_every_robber_reply(fam):
+    """Solved once on the quotient space, the strategy is read off real
+    states, including ones whose burned edges the quotient clears."""
+    g = fam("grid", 2, 5)
+    game = PackedGame(g, 1)
+    masked = 0
+    for c in range(g.vertex_count):
+        for r in range(g.vertex_count):
+            init = GameState(0, (c,), r, COP_TURN)
+            val = solve_position(g, init)
+            if r == c or val.winner != "cop":
+                continue
+            strat = extract_strategy(g, init)
+            layer, half = {init}, 0
+            while layer:
+                assert half < 2 * val.rounds, (c, r)
+                nxt = set()
+                for s in layer:
+                    masked += game.decode(game.canonical(game.encode(s))).burned != s.burned
+                    if s.phase == COP_TURN:
+                        nxt.add(strat[s])
+                    else:
+                        nxt.update(t for (t, _mv) in robber_successors(g, s))
+                layer = {s for s in nxt if not is_capture(s)}
+                half += 1
+    assert masked
+
+
+def test_budget_outcome_does_not_depend_on_threads(fam):
+    g = fam("cycle", 6)
+    full = cop_wins_with_k(g, 1, threads=1)
+    # Over the budget only in total, and within a single placement's solve.
+    for budget in (full.explored_states - 1, 5):
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(BudgetExceeded) as e:
+                cop_wins_with_k(g, 1, budget=budget, threads=threads)
+            errors.append((e.value.explored, str(e.value)))
+        assert errors[0] == errors[1] == (budget, f"explored-state budget exceeded ({budget} states)")
+    for threads in (1, 2):
+        assert cop_wins_with_k(g, 1, budget=full.explored_states, threads=threads) == full
 
 
 def test_invalid_state_rejected(fam):
