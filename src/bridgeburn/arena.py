@@ -12,6 +12,10 @@ every move (and optionally every placement) of the free side:
 
 Nodes are (game state, policy internal state) pairs, which keeps the
 memoization sound for stateful policies.
+
+The arena holds no rules of its own: every move, a policy's or the free
+side's, is applied by the engine's apply_cop_moves / apply_robber_move,
+and the free side's candidates come from cop_move_options.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from dataclasses import dataclass
 
 from .engine import (
     COP_TURN,
-    ROBBER,
-    ROBBER_TURN,
     GameState,
-    MoveRecord,
+    IllegalMoveError,
     Outcome,
     Transcript,
+    apply_cop_moves,
+    apply_robber_move,
+    cop_move_options,
     is_capture,
     robber_component_check,
 )
@@ -64,33 +69,11 @@ class Verdict:
         }
 
 
-def _apply_cop_move(g: Graph, s: GameState, dest: tuple[int, ...], policy: Policy):
-    if len(dest) != len(s.cops):
-        raise IllegalPolicyMoveError(policy, f"returned {len(dest)} moves for {len(s.cops)} cops")
-    records = []
-    for idx, (frm, to) in enumerate(zip(s.cops, dest)):
-        if frm != to:
-            if not g.has_edge(frm, to):
-                raise IllegalPolicyMoveError(policy, f"cop {frm}->{to} is not an edge")
-            if s.burned >> g.edge_id(frm, to) & 1:
-                raise IllegalPolicyMoveError(policy, f"cop {frm}->{to} crosses a burned edge")
-        records.append(MoveRecord(idx, frm, to))
-    return GameState(s.burned, tuple(sorted(dest)), s.robber, ROBBER_TURN), records
-
-
-def _apply_robber_move(g: Graph, s: GameState, to: int, policy: Policy):
-    frm = s.robber
-    if frm == to:
-        return GameState(s.burned, s.cops, frm, COP_TURN), [MoveRecord(ROBBER, frm, to)]
-    if not g.has_edge(frm, to):
-        raise IllegalPolicyMoveError(policy, f"robber {frm}->{to} is not an edge")
-    eid = g.edge_id(frm, to)
-    if s.burned >> eid & 1:
-        raise IllegalPolicyMoveError(policy, f"robber {frm}->{to} crosses a burned edge")
-    return (
-        GameState(s.burned | (1 << eid), s.cops, to, COP_TURN),
-        [MoveRecord(ROBBER, frm, to, eid)],
-    )
+def _policy_move(policy: Policy, apply, *args):
+    try:
+        return apply(*args)
+    except IllegalMoveError as e:
+        raise IllegalPolicyMoveError(policy, str(e)) from None
 
 
 def run_match(
@@ -115,14 +98,14 @@ def run_match(
     rob_ps = robber.initial_pstate(g, cops, r0)
     for rnd in range(1, max_rounds + 1):
         move, cop_ps = cop.choose(g, state, cop_ps)
-        state, records = _apply_cop_move(g, state, tuple(move), cop)
+        state, records = _policy_move(cop, apply_cop_moves, g, state, move)
         t.turns.append(records)
         if is_capture(state):
             t.outcome = Outcome("cop_win", round=rnd)
             return t
         dest, rob_ps = robber.choose(g, state, rob_ps)
-        state, records = _apply_robber_move(g, state, dest, robber)
-        t.turns.append(records)
+        state, record = _policy_move(robber, apply_robber_move, g, state, dest)
+        t.turns.append([record])
         if is_capture(state):
             t.outcome = Outcome("cop_win", round=rnd)
             return t
@@ -155,28 +138,6 @@ def exhaust_vs_policy(
     return _exhaust_robbers_vs_cop(g, fixed, free_side_placements, budget)
 
 
-def _robber_moves(g: Graph, s: GameState):
-    yield s.robber
-    for (y, eid) in g.adjacency[s.robber]:
-        if not s.burned >> eid & 1:
-            yield y
-
-
-def _cop_team_moves(g: Graph, s: GameState):
-    per_cop = []
-    for c in s.cops:
-        opts = [c]
-        for (y, eid) in g.adjacency[c]:
-            if not s.burned >> eid & 1:
-                opts.append(y)
-        per_cop.append(opts)
-    seen = set()
-    for combo in itertools.product(*per_cop):
-        if combo not in seen:
-            seen.add(combo)
-            yield combo
-
-
 def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
     if placements is None:
         placements = itertools.combinations_with_replacement(range(g.vertex_count), k_cops)
@@ -202,15 +163,16 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
             if state.phase == COP_TURN:
-                children = []
-                for combo in _cop_team_moves(g, state):
-                    records = [MoveRecord(i, f, t) for i, (f, t) in enumerate(zip(state.cops, combo))]
-                    children.append((GameState(state.burned, tuple(sorted(combo)), state.robber, ROBBER_TURN), ps, records))
+                options = [cop_move_options(g, state.burned, c) for c in state.cops]
+                children = [
+                    (*apply_cop_moves(g, state, combo), ps)
+                    for combo in itertools.product(*options)
+                ]
             else:
                 dest, nps = fixed.choose(g, state, ps)
-                nstate, records = _apply_robber_move(g, state, dest, fixed)
-                children = [(nstate, nps, records)]
-            for (nstate, nps, records) in children:
+                nstate, record = _policy_move(fixed, apply_robber_move, g, state, dest)
+                children = [(nstate, [record], nps)]
+            for (nstate, records, nps) in children:
                 key = (nstate, nps)
                 if key in seen:
                     continue
@@ -253,10 +215,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
         while stack:
             node, it = stack[-1]
             if it is None:
-                if node in done:
-                    stack.pop()
-                    continue
-                if node in gray:
+                if node in done or node in gray:
                     stack.pop()
                     continue
                 nodes += 1
@@ -272,8 +231,8 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)
                 gray.add(node)
-                it = self_iter = _node_children(g, fixed, node)
-                stack[-1] = (node, self_iter)
+                it = _node_children(g, fixed, node)
+                stack[-1] = (node, it)
             try:
                 child, records = next(it)
             except StopIteration:
@@ -296,12 +255,12 @@ def _node_children(g, fixed, node):
     state, ps = node
     if state.phase == COP_TURN:
         dest, nps = fixed.choose(g, state, ps)
-        nstate, records = _apply_cop_move(g, state, tuple(dest), fixed)
+        nstate, records = _policy_move(fixed, apply_cop_moves, g, state, dest)
         yield (nstate, nps), records
     else:
-        for to in _robber_moves(g, state):
-            nstate, records = _apply_robber_move(g, state, to, fixed)
-            yield (nstate, ps), records
+        for to in cop_move_options(g, state.burned, state.robber):
+            nstate, record = apply_robber_move(g, state, to)
+            yield (nstate, ps), [record]
 
 
 def _rebuild_transcript(g, init, parent, node) -> Transcript:

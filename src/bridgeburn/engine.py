@@ -5,6 +5,10 @@ independently stays or crosses one unburned edge; the robber stays or
 crosses one unburned incident edge, and crossing permanently deletes that
 edge for both sides.  Capture (any cop sharing the robber's vertex) is
 checked after every half-turn and ends the game immediately.
+
+`apply_cop_moves` and `apply_robber_move` are the only legality check:
+the arena, `Transcript.replay` and `robber_successors` apply every move
+through them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, component_bitmask
+from .graph import Graph, GraphError, component_bitmask
 
 COP_TURN = 0
 ROBBER_TURN = 1
@@ -71,7 +75,7 @@ def is_capture(s: GameState) -> bool:
 
 
 def cop_move_options(g: Graph, burned: int, c: int) -> list[int]:
-    """Vertices one cop at c may occupy next turn (stay first, then neighbors)."""
+    """Vertices a cop or robber at c may occupy next turn (stay first, then neighbors)."""
     opts = [c]
     for (y, eid) in g.adjacency[c]:
         if not burned >> eid & 1:
@@ -99,24 +103,61 @@ def cop_successors(g: Graph, s: GameState) -> list[GameState]:
     return out
 
 
+def _unburned_edge(g: Graph, burned: int, frm: int, to: int, who: str) -> int:
+    try:
+        eid = g.edge_id(frm, to)
+    except GraphError:
+        raise IllegalMoveError(f"{who} {frm}->{to} is not an edge") from None
+    if burned >> eid & 1:
+        raise IllegalMoveError(f"{who} {frm}->{to} crosses burned edge {eid}")
+    return eid
+
+
+def apply_cop_moves(g: Graph, s: GameState, dests) -> tuple[GameState, list[MoveRecord]]:
+    """The cop half-turn in which the i-th sorted cop goes to dests[i].
+
+    Each cop stays or crosses one unburned edge; an illegal move raises
+    IllegalMoveError.  The burned mask never changes on a cop turn.
+    """
+    if s.phase != COP_TURN:
+        raise PhaseError("apply_cop_moves requires a CopTurn state")
+    if is_capture(s):
+        raise IllegalMoveError("the robber is already caught")
+    if len(dests) != len(s.cops):
+        raise IllegalMoveError(f"{len(dests)} moves for {len(s.cops)} cops")
+    records = []
+    for i, (frm, to) in enumerate(zip(s.cops, dests)):
+        if frm != to:
+            _unburned_edge(g, s.burned, frm, to, f"cop {i}")
+        records.append(MoveRecord(i, frm, to))
+    return GameState(s.burned, tuple(sorted(dests)), s.robber, ROBBER_TURN), records
+
+
+def apply_robber_move(
+    g: Graph, s: GameState, to: int, variant: Variant = BRIDGE_BURNING
+) -> tuple[GameState, MoveRecord]:
+    """The robber half-turn to `to`: stay, or cross one unburned incident edge.
+
+    Crossing burns the edge (bridge-burning variant only).  Moving onto a
+    cop is legal and yields a captured state.
+    """
+    if s.phase != ROBBER_TURN:
+        raise PhaseError("apply_robber_move requires a RobberTurn state")
+    if is_capture(s):
+        raise IllegalMoveError("the robber is already caught")
+    r = s.robber
+    if to == r:
+        return GameState(s.burned, s.cops, r, COP_TURN), MoveRecord(ROBBER, r, r)
+    eid = _unburned_edge(g, s.burned, r, to, "robber")
+    burned = s.burned | 1 << eid if variant.burning else s.burned
+    return GameState(burned, s.cops, to, COP_TURN), MoveRecord(ROBBER, r, to, eid)
+
+
 def robber_successors(
     g: Graph, s: GameState, variant: Variant = BRIDGE_BURNING
 ) -> list[tuple[GameState, MoveRecord]]:
-    """Stay, plus one successor per unburned incident edge.
-
-    Moving burns the crossed edge (bridge-burning variant only).  Moving
-    onto a cop is legal and yields a captured state.
-    """
-    if s.phase != ROBBER_TURN:
-        raise PhaseError("robber_successors requires a RobberTurn state")
-    r = s.robber
-    out = [(GameState(s.burned, s.cops, r, COP_TURN), MoveRecord(ROBBER, r, r))]
-    for (y, eid) in g.adjacency[r]:
-        if s.burned >> eid & 1:
-            continue
-        mask = s.burned | (1 << eid) if variant.burning else s.burned
-        out.append((GameState(mask, s.cops, y, COP_TURN), MoveRecord(ROBBER, r, y, eid)))
-    return out
+    """Stay, plus one successor per unburned incident edge."""
+    return [apply_robber_move(g, s, y, variant) for y in cop_move_options(g, s.burned, s.robber)]
 
 
 def robber_component_check(g: Graph, s: GameState) -> bool:
@@ -297,35 +338,22 @@ class Transcript:
     outcome: Outcome | None = None
 
     def replay(self) -> GameState:
-        """Re-apply every recorded move, validating legality; returns final state."""
+        """Re-apply every recorded move, validating legality; returns final state.
+
+        Raises IllegalMoveError unless each half-turn is legal and its
+        records are exactly the ones the engine produces for it.
+        """
         s = self.initial
         for half_turn in self.turns:
             if s.phase == COP_TURN:
-                if len(half_turn) != len(s.cops):
-                    raise IllegalMoveError("cop half-turn needs one move per cop")
-                new_cops = list(s.cops)
-                for mv in half_turn:
-                    if new_cops[mv.actor] != mv.from_vertex:
-                        raise IllegalMoveError(f"cop {mv.actor} not at {mv.from_vertex}")
-                    if mv.from_vertex != mv.to_vertex:
-                        eid = self.graph.edge_id(mv.from_vertex, mv.to_vertex)
-                        if s.burned >> eid & 1:
-                            raise IllegalMoveError(f"cop {mv.actor} crossed burned edge {eid}")
-                    new_cops[mv.actor] = mv.to_vertex
-                s = make_state(s.burned, new_cops, s.robber, ROBBER_TURN)
+                s, records = apply_cop_moves(self.graph, s, [mv.to_vertex for mv in half_turn])
+            elif len(half_turn) == 1:
+                s, record = apply_robber_move(self.graph, s, half_turn[0].to_vertex)
+                records = [record]
             else:
-                (mv,) = half_turn
-                if mv.actor != ROBBER or mv.from_vertex != s.robber:
-                    raise IllegalMoveError("robber half-turn mismatch")
-                if mv.from_vertex == mv.to_vertex:
-                    s = GameState(s.burned, s.cops, s.robber, COP_TURN)
-                else:
-                    eid = self.graph.edge_id(mv.from_vertex, mv.to_vertex)
-                    if s.burned >> eid & 1:
-                        raise IllegalMoveError(f"robber crossed burned edge {eid}")
-                    if mv.burned_edge != eid:
-                        raise IllegalMoveError("robber move must record its burned edge")
-                    s = GameState(s.burned | (1 << eid), s.cops, mv.to_vertex, COP_TURN)
+                raise IllegalMoveError(f"robber half-turn has {len(half_turn)} moves")
+            if records != list(half_turn):
+                raise IllegalMoveError(f"recorded {half_turn}, expected {records}")
         return s
 
     def robber_move_count(self) -> int:

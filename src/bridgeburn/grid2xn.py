@@ -17,8 +17,8 @@ the confined corner region.
 from __future__ import annotations
 
 from .engine import GameState
-from .graph import Graph, all_distances_from, component_bitmask
-from .strategies import Policy, PolicyApplicabilityError
+from .graph import Graph, component_bitmask
+from .strategies import Policy, PolicyApplicabilityError, _greedy_step
 
 LEFT, RIGHT = -1, 1
 
@@ -203,18 +203,4 @@ class Grid2xnCopTeam(Policy):
             step = self._at(ccol + side, crow)
             if self._edge_ok(g, burned, c, step):
                 return step
-        return self._fallback(g, state, c)
-
-    def _fallback(self, g, state, c) -> int:
-        """Greedy finisher: shortest-path step in the burned graph."""
-        dist = all_distances_from(g, state.robber, state.burned)
-        if dist[c] <= 0:
-            return c
-        best, best_d = c, dist[c]
-        for (y, eid) in sorted(g.adjacency[c]):
-            if state.burned >> eid & 1:
-                continue
-            if 0 <= dist[y] < best_d:
-                best, best_d = y, dist[y]
-        return best
-
+        return _greedy_step(g, burned, c, r)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from .bounds import placement_generators
-from .engine import COP_TURN, ROBBER_TURN, GameState
+from .engine import GameState, cop_move_options
 from .families import FamilySpec, capture_family_blocks
 from .graph import (
     Graph,
@@ -102,7 +102,11 @@ class GreedyCloserCop(Policy):
 
 class TorusPlacementCop(GreedyCloserCop):
     """Torus upper-bound placement; in-game play is plain greedy chasing,
-    which is NOT the full multi-case chase the bound's argument uses."""
+    which is NOT the full multi-case chase the bound's argument uses.
+
+    Checked with exhaust_vs_policy: it wins on the 3x3, 4x4 and 5x5 tori
+    and loses to an isolated escape on the 6x6 torus.
+    """
 
     name = "torus_placement"
 
@@ -113,7 +117,11 @@ class TorusPlacementCop(GreedyCloserCop):
 
 
 class GridPlacementCop(GreedyCloserCop):
-    """Grid upper-bound placement with greedy in-game play (same caveat)."""
+    """Grid upper-bound placement with greedy in-game play (same caveat).
+
+    Checked with exhaust_vs_policy: it wins on the 8x8 grid and loses to
+    an isolated escape on the 8x9 grid.
+    """
 
     name = "grid_placement"
 
@@ -136,7 +144,11 @@ class HypercubeMirrorCop(Policy):
 
     def __init__(self, g: Graph):
         d = (g.vertex_count - 1).bit_length()
-        if g.vertex_count != 1 << d or g.edge_count != d * (1 << (d - 1)):
+        if (
+            g.vertex_count != 1 << d
+            or 2 * g.edge_count != d << d
+            or any((u ^ v).bit_count() != 1 for (u, v) in g.edges)
+        ):
             raise PolicyApplicabilityError("hypercube_mirror needs Q_d with binary labels")
         self.d = d
 
@@ -257,13 +269,9 @@ class FarthestRobber(Policy):
         return max(choices, key=lambda v: (self._score(g, 0, v, cops), -v))
 
     def choose(self, g, state, pstate):
-        options = [state.robber]
-        for (y, eid) in g.adjacency[state.robber]:
-            if not state.burned >> eid & 1:
-                options.append(y)
         burned = state.burned
         best = max(
-            options,
+            cop_move_options(g, burned, state.robber),
             key=lambda v: (
                 self._score(
                     g,

@@ -8,6 +8,8 @@ from bridgeburn.engine import (
     ROBBER,
     ROBBER_TURN,
     GameState,
+    IllegalMoveError,
+    MoveRecord,
     PhaseError,
     Transcript,
     cop_successors,
@@ -138,6 +140,30 @@ def test_replay_reproduces_final_state(seed):
     g = generate(FamilySpec("grid", (2, 4)))
     transcript, final, masks = _random_playout(g, seed)
     assert transcript.replay() == final
+
+
+_STAY = [MoveRecord(0, 0, 0), MoveRecord(1, 4, 4)]  # both cops of (0, 4) stay
+
+
+@pytest.mark.parametrize(
+    "robber,turns",
+    [
+        pytest.param(2, [[MoveRecord(0, 0, 2), MoveRecord(1, 4, 4)]], id="cop-non-edge"),
+        pytest.param(2, [[MoveRecord(0, 0, 0), MoveRecord(0, 0, 1)]], id="cop0-twice"),
+        pytest.param(2, [[MoveRecord(0, 0, 1), MoveRecord(ROBBER, 4, 3)]], id="robber-in-cop-turn"),
+        pytest.param(
+            1, [[MoveRecord(0, 0, 1), MoveRecord(1, 4, 4)], [MoveRecord(ROBBER, 1, 2, 1)]],
+            id="move-after-capture",
+        ),
+        pytest.param(2, [_STAY, [MoveRecord(ROBBER, 2, 2, 1)]], id="stay-records-burn"),
+        pytest.param(2, [_STAY, []], id="empty-robber-turn"),
+    ],
+)
+def test_replay_rejects_malformed_transcript(fam, robber, turns):
+    g = fam("path", 5)
+    t = Transcript(graph=g, initial=GameState(0, (0, 4), robber, COP_TURN), turns=turns)
+    with pytest.raises(IllegalMoveError):
+        t.replay()
 
 
 @given(st.integers(0, 200))

@@ -5,7 +5,7 @@ import pytest
 from bridgeburn.arena import IllegalPolicyMoveError, exhaust_vs_policy, run_match
 from bridgeburn.engine import COP_TURN, GameState, cop_move_options, is_capture, make_state
 from bridgeburn.families import FamilySpec, generate
-from bridgeburn.graph import all_distances_from
+from bridgeburn.graph import all_distances_from, build_graph
 from bridgeburn.grid2xn import Grid2xnCopTeam, thm_2xn_columns
 from bridgeburn.strategies import (
     CornerIsolateRobber,
@@ -83,6 +83,20 @@ def test_mirror_rejects_non_hypercube(fam):
         HypercubeMirrorCop(fam("cycle", 6))
 
 
+def test_mirror_rejects_relabeled_hypercube(fam):
+    # Q3 with shuffled labels has Q3's vertex and edge counts, but edge
+    # 0-1 becomes 5-0, which flips two bits.
+    perm = [5, 0, 7, 2, 6, 3, 1, 4]
+    g = build_graph(8, [(perm[u], perm[v]) for (u, v) in fam("hypercube", 3).edges])
+    with pytest.raises(PolicyApplicabilityError):
+        HypercubeMirrorCop(g)
+
+
+def test_mirror_accepts_q0():
+    g = build_graph(1, [])
+    assert exhaust_vs_policy(g, HypercubeMirrorCop(g)).wins_always
+
+
 # --- matches -------------------------------------------------------------------
 
 
@@ -145,6 +159,28 @@ def test_grid2xn_wins_small():
     for n in range(2, 8):
         g = generate(FamilySpec("grid", (2, n)))
         assert exhaust_vs_policy(g, Grid2xnCopTeam(g, n)).wins_always, n
+
+
+@pytest.mark.parametrize(
+    "family,m,n,outcome",
+    [
+        ("torus", 3, 3, "wins"),
+        ("torus", 4, 4, "wins"),
+        ("torus", 5, 5, "wins"),
+        ("torus", 6, 6, "beaten"),
+        ("grid", 8, 8, "wins"),
+        ("grid", 8, 9, "beaten"),
+    ],
+)
+def test_placement_chasers_outcomes(fam, family, m, n, outcome):
+    """The bound placements with greedy chasing win on small boards and
+    lose to an isolated escape on torus 6x6 and grid 8x9."""
+    g = fam(family, m, n)
+    v = exhaust_vs_policy(g, make_policy(f"{family}_placement", g, [m, n]))
+    assert v.outcome == outcome
+    if outcome == "beaten":
+        assert v.counterexample.outcome.reason == "isolated"
+        v.counterexample.replay()
 
 
 def test_thm_2xn_columns_shape():
