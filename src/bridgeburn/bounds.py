@@ -3,9 +3,10 @@
 Everything here is exact at desk scale: subset enumeration for the
 domination numbers, literal formula lookup for the families, and the
 constructive initial cop placements for 2xn grids, general grids, and
-tori.  Each placement generator asserts that its multiset size equals
-the matching upper-bound formula, which guards the construction against
-misreading.
+tori.  The grid and torus generators assert that their multiset size
+equals the matching upper-bound formula, which guards the construction
+against misreading; the 2xn count is checked against ceil((n+2)/9) by
+the tests.
 """
 
 from __future__ import annotations
@@ -171,12 +172,11 @@ def family_formula(spec: FamilySpec) -> FamilyFormulaResult:
             k = n if m == 2 else m
             return _exact(_ceil_div(k + 2, 9), "2xn grids: ceil((n+2)/9)")
         lower = _ceil_div(m * n, 121)
-        upper = 2 * (m // 16) * (n // 14) + 3 * (m // 5 + n // 5) + 4
-        return FamilyFormulaResult(None, lower, upper, "grid bounds")
+        return FamilyFormulaResult(None, lower, grid_theorem_upper(m, n), "grid bounds")
     if fam == "torus":
         m, n = p
         lower = _ceil_div(m * n, 121)
-        upper = 2 * _ceil_div(m, 16) * _ceil_div(n, 14)
+        upper = torus_theorem_upper(m, n)
         if lower == upper:
             return FamilyFormulaResult(lower, lower, upper, "torus bounds (tight here)")
         return FamilyFormulaResult(None, lower, upper, "torus bounds")
@@ -202,12 +202,13 @@ def _exact(v: int, source: str) -> FamilyFormulaResult:
 def placement_generators(spec: FamilySpec) -> tuple[int, ...]:
     """The initial cop placements the grid/torus arguments construct.
 
-    Returns a sorted vertex multiset.  The multiset size always equals
-    the corresponding upper-bound formula value (asserted).
+    Returns a sorted vertex multiset whose size equals the matching
+    upper-bound formula.  On the 2xn grid the cops stand in row 0 of the
+    columns `thm_2xn_columns` gives.
     """
     fam, p = spec.family, spec.params
     if fam == "grid" and p[0] == 2:
-        return _grid2n_placement(p[1])
+        return tuple(grid_vertex(p[1], c, 0) for c in thm_2xn_columns(p[1]))
     if fam == "grid":
         return _grid_placement(*p)
     if fam == "torus":
@@ -215,23 +216,17 @@ def placement_generators(spec: FamilySpec) -> tuple[int, ...]:
     raise FamilySpecError(f"no placement construction for {spec}")
 
 
-def grid2n_columns(n: int) -> list[int]:
-    """Cop columns for the 2xn grid: 3, 12, 21, ... with the last clamped to n-1."""
+def thm_2xn_columns(n: int) -> list[int]:
+    """Cop columns for the 2xn grid: 3, 12, 21, ... and finally n-4."""
     if n <= 3:
         return [n - 1]
     if n <= 7:
         return [3]
-    count = _ceil_div(n + 2, 9)
-    cols = [3 + 9 * i for i in range(count)]
-    cols[-1] = min(cols[-1], n - 1)
+    cols = [3]
+    while cols[-1] + 9 < n - 4:
+        cols.append(cols[-1] + 9)
+    cols.append(n - 4)
     return cols
-
-
-def _grid2n_placement(n: int) -> tuple[int, ...]:
-    cols = grid2n_columns(n)
-    placement = tuple(sorted(grid_vertex(n, c, 0) for c in cols))
-    assert len(placement) == _ceil_div(n + 2, 9)
-    return placement
 
 
 def _torus_placement(m: int, n: int) -> tuple[int, ...]:
@@ -242,7 +237,7 @@ def _torus_placement(m: int, n: int) -> tuple[int, ...]:
         for l in range(2 * _ceil_div(m, 16)):
             if (k + l) % 2 == 1:
                 cops.append(grid_vertex(n, (7 * k) % n, (8 * l) % m))
-    expected = 2 * _ceil_div(m, 16) * _ceil_div(n, 14)
+    expected = torus_theorem_upper(m, n)
     assert len(cops) == expected, (len(cops), expected)
     return tuple(sorted(cops))
 
@@ -287,7 +282,7 @@ def _grid_placement(m: int, n: int) -> tuple[int, ...]:
     peripheral = len(cops) - border - central
     assert peripheral == (m // 5) + (n // 5)
 
-    upper = 2 * (m // 16) * (n // 14) + 3 * (m // 5 + n // 5) + 4
+    upper = grid_theorem_upper(m, n)
     assert len(cops) == upper, (len(cops), upper)
     return tuple(sorted(cops))
 
@@ -298,12 +293,3 @@ def grid_theorem_upper(m: int, n: int) -> int:
 
 def torus_theorem_upper(m: int, n: int) -> int:
     return 2 * _ceil_div(m, 16) * _ceil_div(n, 14)
-
-
-def torus_theorem_lower(m: int, n: int) -> int:
-    return _ceil_div(m * n, 121)
-
-
-def grid_theorem_lower(m: int, n: int) -> int:
-    return _ceil_div(m * n, 121)
-

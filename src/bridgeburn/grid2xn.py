@@ -16,24 +16,12 @@ the confined corner region.
 
 from __future__ import annotations
 
+from .bounds import thm_2xn_columns
 from .engine import GameState
 from .graph import Graph, component_bitmask
 from .strategies import Policy, PolicyApplicabilityError, _greedy_step
 
 LEFT, RIGHT = -1, 1
-
-
-def thm_2xn_columns(n: int) -> list[int]:
-    """Cop columns from the upper-bound construction (ends at column n-4)."""
-    if n <= 3:
-        return [n - 1]
-    if n <= 7:
-        return [3]
-    cols = [3]
-    while cols[-1] + 9 < n - 4:
-        cols.append(cols[-1] + 9)
-    cols.append(n - 4)
-    return cols
 
 
 class Grid2xnCopTeam(Policy):
@@ -71,7 +59,10 @@ class Grid2xnCopTeam(Policy):
 
     # --- shared move predicates ----------------------------------------------
     def _edge_ok(self, g, burned, a, b) -> bool:
-        return g.has_edge(a, b) and not burned >> g.edge_id(a, b) & 1
+        for (w, eid) in g.adjacency[a]:
+            if w == b:
+                return not burned >> eid & 1
+        return False
 
     def _capture_move(self, g, burned, c, r) -> int | None:
         return r if self._edge_ok(g, burned, c, r) else None

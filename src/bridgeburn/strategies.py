@@ -46,11 +46,6 @@ class Policy:
         raise NotImplementedError
 
 
-def _current_dist(g: Graph, burned: int, u: int, v: int) -> int | None:
-    d = bfs_distance(g, u, v, burned)
-    return None if d < 0 else d
-
-
 def _greedy_step(g: Graph, burned: int, frm: int, target: int) -> int:
     """One step reducing current-graph distance to target; stay if impossible."""
     dist = all_distances_from(g, target, burned)
@@ -223,16 +218,14 @@ class GuardStartVertexCop(Policy):
         return (self.start,)
 
     def initial_pstate(self, g, cops, robber):
-        d = _current_dist(g, 0, robber, robber)
-        return (False, robber, d if d is not None else -1)
+        return (False, robber, 0)
 
     def choose(self, g, state, pstate):
         reached, v, prev_rv = pstate
         c, r, burned = state.cops[0], state.robber, state.burned
         if not reached and c == v:
             reached = True
-        cur = _current_dist(g, burned, r, v)
-        cur_rv = cur if cur is not None else -1
+        cur_rv = bfs_distance(g, r, v, burned)
         if not reached:
             dest = _greedy_step(g, burned, c, v)
             if dest == c:
@@ -375,7 +368,6 @@ class CornerIsolateRobber(PlanRobber):
             _grid_index(n, ci, cj),
         ]
         super().__init__(g, _grid_index(n, ci, cj), walk)
-        self.name = "corner_isolate"
 
 
 class BorderIsolateRobber(PlanRobber):
@@ -397,7 +389,6 @@ class BorderIsolateRobber(PlanRobber):
             _grid_index(n, i - d, row),
         ]
         super().__init__(g, start, walk)
-        self.name = "border_isolate"
 
 
 class GapIsolateRobber(BorderIsolateRobber):
@@ -410,7 +401,6 @@ class GapIsolateRobber(BorderIsolateRobber):
 
     def __init__(self, g: Graph, n: int, j: int, row: int = 0, direction: int = 1):
         super().__init__(g, 2, n, i=j + 4 * direction, row=row, direction=direction)
-        self.name = "gap_isolate"
 
 
 class Degree4IsolateRobber(Policy):

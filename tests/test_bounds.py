@@ -6,7 +6,6 @@ from bridgeburn.bounds import (
     all_cliques,
     domination_numbers,
     family_formula,
-    grid2n_columns,
     grid_theorem_upper,
     placement_generators,
     torus_theorem_upper,
@@ -133,13 +132,7 @@ def test_formula_unknown_family():
 
 
 def test_grid2n_placement_example():
-    assert placement_generators(FamilySpec("grid", (2, 12))) == (3, 11)
-
-
-def test_grid2n_columns_small():
-    assert grid2n_columns(3) == [2]
-    assert grid2n_columns(7) == [3]
-    assert grid2n_columns(20) == [3, 12, 19]
+    assert placement_generators(FamilySpec("grid", (2, 12))) == (3, 8)
 
 
 def test_torus_placement_16_14():

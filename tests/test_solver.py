@@ -1,5 +1,6 @@
 import pytest
 
+from bridgeburn.bounds import family_formula, placement_generators
 from bridgeburn.engine import (
     CLASSIC,
     COP_TURN,
@@ -8,11 +9,13 @@ from bridgeburn.engine import (
     is_capture,
     robber_successors,
 )
+from bridgeburn.families import FamilySpec
 from bridgeburn.graph import build_graph
 from bridgeburn.solver import (
     BudgetExceeded,
     CaptureTimeDomainError,
     DisconnectedGraphError,
+    SolveResult,
     bridge_burning_cop_number,
     capture_time_bb,
     cop_wins_with_k,
@@ -98,6 +101,31 @@ def test_capture_time_family_22(fam):
 def test_capture_time_rejects_cb_above_1(fam):
     with pytest.raises(CaptureTimeDomainError):
         capture_time_bb(fam("path", 6))
+
+
+def test_placement_covering_every_vertex(fam):
+    # (0, 0) and (1, 1) each win in round 1 with 5 states; (0, 1) leaves the
+    # robber no start, so it wins in round 0 with none.
+    assert cop_wins_with_k(fam("path", 2), 2) == SolveResult("cop", 2, (0, 1), 0, 10)
+    assert cop_wins_with_k(fam("complete", 1), 1).explored_states == 0
+
+
+def test_2xn_cop_number_for_n_7_to_13(fam):
+    # c_b(2xn) = ceil((n+2)/9): 1 at n = 7 and 2 for n = 8..13.  One cop
+    # settles the lower bound; the constructive placement, the upper one.
+    for n in range(7, 14):
+        g = fam("grid", 2, n)
+        want = family_formula(FamilySpec("grid", (2, n))).exact
+        assert want == (1 if n == 7 else 2), n
+        assert cop_wins_with_k(g, 1).winner == ("cop" if want == 1 else "robber"), n
+        if want == 1:
+            continue
+        placement = placement_generators(FamilySpec("grid", (2, n)))
+        assert len(placement) == 2
+        for r in range(g.vertex_count):
+            if r not in placement:
+                val = solve_position(g, GameState(0, placement, r, COP_TURN))
+                assert val.winner == "cop", (n, r)
 
 
 def test_disconnected_rejected():

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from bridgeburn.arena import IllegalPolicyMoveError, exhaust_vs_policy, run_match
+from bridgeburn.bounds import thm_2xn_columns
 from bridgeburn.engine import COP_TURN, GameState, cop_move_options, is_capture, make_state
 from bridgeburn.families import FamilySpec, generate
 from bridgeburn.graph import all_distances_from, build_graph
-from bridgeburn.grid2xn import Grid2xnCopTeam, thm_2xn_columns
+from bridgeburn.grid2xn import Grid2xnCopTeam
 from bridgeburn.strategies import (
     CornerIsolateRobber,
     Degree4IsolateRobber,
