@@ -33,20 +33,27 @@ changes neither the burned mask nor the robber's component, so cop-move
 successors need no re-canonicalizing.  A state whose cops are all at the
 sentinel is an escape.  A RobberTurn state with an escaping move is a
 robber win, so its other successors are never generated.
-`explored_states`, the CLI's `exploredStates` and every budget count
-these quotient states.
+
+Whole-game solving runs in one process, one robber start at a time.  For
+each start r, in vertex order, one space is seeded with every placement
+not yet refuted that does not contain r, so the placements share the
+states their plays have in common (the burned mask is a trail from r, so
+spaces of different starts hardly overlap).  `explored_states`, the CLI's
+`exploredStates` and every budget count these quotient states, summed
+over the starts' spaces.
 
 The reachable graph is grown in stages (horizon doubling).  States past
 the current horizon count as robber wins, which is pessimistic for the
 cop, so a cop win certified with rank below the horizon is exact; robber
 wins are only reported once the reachable graph is fully expanded.  This
-keeps dense graphs with fast captures cheap while staying exact.
+keeps dense graphs with fast captures cheap while staying exact.  Growth
+goes breadth-first from all roots at once, so every state within the
+horizon of any one root is expanded and the argument holds per root.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,8 +78,8 @@ DEFAULT_BUDGET = 10**7
 class BudgetExceeded(Exception):
     """Raised when a solve touches more states than its budget allows.
 
-    `explored` is the running total at which the search stopped; for the
-    solver that is the budget itself, whatever the thread count.
+    `explored` is the running total at which the search stopped; for
+    whole-game solving that is the budget itself.
     """
 
     def __init__(self, explored: int):
@@ -132,15 +139,16 @@ class CopNumberResult:
 
 
 class _GameSpace:
-    """Reachable quotient game graph from one initial state, grown stage by stage.
+    """Reachable quotient game graph from its roots, grown stage by stage.
 
-    Expansion goes one breadth-first layer at a time, so after
-    `expand_to(h)` every live state of depth < h is expanded and no deeper
-    one is.
+    The roots are interned first, in order, so root i has id i.  Expansion
+    goes one breadth-first layer at a time, so after `expand_to(h)` every
+    live state of depth < h is expanded and no deeper one is; a state's
+    depth is its distance from the nearest root.
     """
 
-    def __init__(self, g: Graph, init: GameState, variant: Variant, budget: int | None):
-        self.game = game = PackedGame(g, len(init.cops), variant)
+    def __init__(self, g: Graph, roots: list[GameState], variant: Variant, budget: int | None):
+        self.game = game = PackedGame(g, len(roots[0].cops), variant)
         self.budget = budget
         self.ids: dict[int, int] = {}
         self.keys: list[int] = []
@@ -150,7 +158,8 @@ class _GameSpace:
         self.captured_ids: list[int] = []
         self._layer: list[int] = []  # unexpanded live states, all of one depth
         self._depth = 0
-        self._intern(game.canonical(game.encode(init)))
+        for s in roots:
+            self._intern(game.canonical(game.encode(s)))
 
     def _intern(self, key: int) -> int:
         sid = len(self.keys)
@@ -238,17 +247,29 @@ def solve_position(
     _validate_state(g, state)
     if is_capture(state):
         return PositionValue("cop", 0, 1)
-    space = _GameSpace(g, state, variant, budget)
+    (rounds,), explored = _solve_roots(g, [state], variant, budget)
+    return PositionValue("cop" if rounds is not None else "robber", rounds, explored)
+
+
+def _solve_roots(
+    g: Graph,
+    roots: list[GameState],
+    variant: Variant,
+    budget: int | None,
+) -> tuple[list[int | None], int]:
+    """Capture rounds of each root (None for a robber win) and the space size.
+
+    The roots must be distinct non-capture states, so root i has id i.
+    Horizon doubling goes on until every root is decided.
+    """
+    space = _GameSpace(g, roots, variant, budget)
+    root_ids = range(len(roots))
     horizon = 4
     while True:
         space.expand_to(horizon)
         won, rank = space.run_attractor()
-        if won[0]:
-            rho = rank[0]
-            if rho < horizon or space.fully_expanded:
-                return PositionValue("cop", (rho + 1) // 2, len(space.keys))
-        elif space.fully_expanded:
-            return PositionValue("robber", None, len(space.keys))
+        if space.fully_expanded or all(won[i] and rank[i] < horizon for i in root_ids):
+            return [(rank[i] + 1) // 2 if won[i] else None for i in root_ids], len(space.keys)
         horizon *= 2
 
 
@@ -278,7 +299,7 @@ def extract_strategy(
     """
     state = state.canonical()
     _validate_state(g, state)
-    space = _GameSpace(g, state, variant, budget)
+    space = _GameSpace(g, [state], variant, budget)
     space.expand_to(1 << 62)
     won, rank = space.run_attractor()
     if not won[0]:
@@ -310,52 +331,44 @@ def extract_strategy(
     return strategy
 
 
-class _PlacementOutcome(NamedTuple):
-    placement: tuple[int, ...]
-    cop_wins: bool
-    worst_rounds: int
-    explored: int
-
-
-def _evaluate_placement(
+def _placement_rounds(
     g: Graph,
-    placement: tuple[int, ...],
+    placements: list[tuple[int, ...]],
     variant: Variant,
     budget: int | None,
-) -> _PlacementOutcome:
-    """Solve every robber start against one placement; stop at the first robber win.
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Worst capture rounds of every placement that beats each robber start.
 
-    Starts go in vertex order.  The order never changes a result, only how
-    many states are explored before a refuting start is found.  Against
-    trying starts far from the cops first, vertex order on the canonical
-    numbering explores about twice the states on 2xn one-cop refutes
-    (2x12, k=1: 103,666 against 53,400) and about 30x fewer on spiders
-    (spider(3,3,3,3), k=2: 4,557 against 118,805), whose far starts are
-    leaf ends where the robber is trapped.
-
-    The budget counts total explored states across this placement's
-    solves.  A placement that covers every vertex is a 0-round cop win.
+    Starts go in vertex order.  Each start's space is seeded with every
+    placement still live that does not contain it; the placements it
+    refutes are dropped, and the search stops once none is live.  A
+    placement that covers every vertex is a 0-round cop win.  Returns
+    {placement: worst rounds} for the winners, in the given order, and
+    the states explored, which the budget bounds.
     """
+    worst = dict.fromkeys(placements, 0)
     explored = 0
-    worst = 0
     for r in range(g.vertex_count):
-        if r in placement:
+        live = [p for p in worst if r not in p]
+        if not live:
             continue
         remaining = None if budget is None else budget - explored
-        val = solve_position(g, GameState(0, placement, r, COP_TURN), variant, remaining)
-        explored += val.explored
-        if val.winner == "robber":
-            return _PlacementOutcome(placement, False, 0, explored)
-        worst = max(worst, val.rounds)
-    return _PlacementOutcome(placement, True, worst, explored)
+        roots = [GameState(0, p, r, COP_TURN) for p in live]
+        rounds, size = _solve_roots(g, roots, variant, remaining)
+        explored += size
+        for p, t in zip(live, rounds):
+            if t is None:
+                del worst[p]
+            else:
+                worst[p] = max(worst[p], t)
+        if not worst:
+            break
+    return worst, explored
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("BRIDGEBURN_THREADS", "1") or "0")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
+def _evaluate_placement(g, placement, variant, budget):
+    # The one-placement case; bench/tracer.py patches this name.
+    return _placement_rounds(g, [placement], variant, budget)
 
 
 def cop_wins_with_k(
@@ -371,54 +384,24 @@ def cop_wins_with_k(
     reported placement is the lexicographically least one among those
     minimizing worst-case capture rounds; a robber start on top of a cop
     counts as capture in round 0 and is never chosen while another vertex
-    exists.
+    exists.  `threads` is accepted and has no effect: the solve runs in
+    one process.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if not is_connected(g):
         raise DisconnectedGraphError("cop_wins_with_k requires a connected graph")
     placements = list(itertools.combinations_with_replacement(range(g.vertex_count), k))
-    nworkers = _thread_count(threads)
     try:
-        if nworkers > 1 and len(placements) > 1:
-            # Tasks share no state, so each gets the whole budget; the total
-            # is checked after the merge, which makes the outcome the
-            # sequential one.
-            outcomes = _evaluate_parallel(g, placements, variant, budget, nworkers)
-            explored = sum(o.explored for o in outcomes)
-            if budget is not None and explored > budget:
-                raise BudgetExceeded(budget)
-        else:
-            outcomes = []
-            explored = 0
-            for p in placements:
-                remaining = None if budget is None else budget - explored
-                outcomes.append(_evaluate_placement(g, p, variant, remaining))
-                explored += outcomes[-1].explored
+        worst, explored = _placement_rounds(g, placements, variant, budget)
     except BudgetExceeded:
-        # The sequential search stops when its running total reaches the
-        # budget (each inner raise carries the remaining budget), so that is
-        # the count reported on both paths.
+        # A start's space stops at the remaining budget, so the running
+        # total at the stop is the budget.
         raise BudgetExceeded(budget) from None
-    best: _PlacementOutcome | None = None
-    for o in outcomes:  # lex placement order; strict < keeps the least argmin
-        if o.cop_wins and (best is None or o.worst_rounds < best.worst_rounds):
-            best = o
-    if best is None:
+    if not worst:
         return SolveResult("robber", k, None, None, explored)
-    return SolveResult("cop", k, best.placement, best.worst_rounds, explored)
-
-
-def _evaluate_parallel(g, placements, variant, budget, nworkers):
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Placements are independent tasks; the merge is by placement order, so
-    # scheduling cannot change the result.
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        futures = [
-            pool.submit(_evaluate_placement, g, p, variant, budget) for p in placements
-        ]
-        return [f.result() for f in futures]
+    best = min(worst, key=worst.__getitem__)  # lex order: min keeps the least argmin
+    return SolveResult("cop", k, best, worst[best], explored)
 
 
 def bridge_burning_cop_number(
@@ -428,10 +411,13 @@ def bridge_burning_cop_number(
     budget: int | None = DEFAULT_BUDGET,
     threads: int | None = None,
 ) -> CopNumberResult:
-    """Least k <= k_max such that k cops win; monotonicity in k is assumed."""
+    """Least k <= k_max such that k cops win; monotonicity in k is assumed.
+
+    `threads` is accepted and has no effect.
+    """
     explored = 0
     for k in range(1, k_max + 1):
-        res = cop_wins_with_k(g, k, variant, budget, threads)
+        res = cop_wins_with_k(g, k, variant, budget)
         explored += res.explored_states
         if res.winner == "cop":
             return CopNumberResult(k, k_max, explored)
@@ -443,8 +429,11 @@ def capture_time_bb(
     budget: int | None = DEFAULT_BUDGET,
     threads: int | None = None,
 ) -> SolveResult:
-    """Worst-case rounds for one cop on a graph with c_b = 1 (capt_b)."""
-    res = cop_wins_with_k(g, 1, BRIDGE_BURNING, budget, threads)
+    """Worst-case rounds for one cop on a graph with c_b = 1 (capt_b).
+
+    `threads` is accepted and has no effect.
+    """
+    res = cop_wins_with_k(g, 1, BRIDGE_BURNING, budget)
     if res.winner != "cop":
         raise CaptureTimeDomainError("capture time is defined only when c_b(G) = 1")
     if res.capture_time_rounds is None:

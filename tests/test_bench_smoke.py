@@ -1,0 +1,24 @@
+"""The benchmark harness runs end to end against this library.
+
+`bench/tracer.py` patches solver names and `bench/workloads.py` passes
+keywords, so a change to the solver's API can break the benchmark
+without failing any other test.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_bench_run_completes(trace):
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "solve-refute",
+           "--seed", "0", "--seconds", "0", "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stdout

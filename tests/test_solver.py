@@ -1,4 +1,8 @@
+import itertools
+import random
+
 import pytest
+from minimax_oracle import oracle_rounds
 
 from bridgeburn.bounds import family_formula, placement_generators
 from bridgeburn.engine import (
@@ -9,6 +13,7 @@ from bridgeburn.engine import (
     is_capture,
     robber_successors,
 )
+from bridgeburn.enumeration import connected_graph_classes
 from bridgeburn.families import FamilySpec
 from bridgeburn.graph import build_graph
 from bridgeburn.solver import (
@@ -251,3 +256,76 @@ def test_invalid_state_rejected(fam):
         solve_position(g, GameState(0, (9,), 1, COP_TURN))
     with pytest.raises(ValueError):
         solve_position(g, GameState(1 << 30, (0,), 1, COP_TURN))
+
+
+def _reference_placement_search(g, k, rounds_of):
+    """(winner, placement, rounds) from rounds_of(placement, start), one
+    solve per (placement, start): the max over starts per placement, then
+    the lexicographically least argmin."""
+    best = None
+    for p in itertools.combinations_with_replacement(range(g.vertex_count), k):
+        worst = 0
+        for r in range(g.vertex_count):
+            if r in p:
+                continue
+            t = rounds_of(p, r)
+            if t is None:
+                break
+            worst = max(worst, t)
+        else:
+            if best is None or worst < best[1]:
+                best = (p, worst)
+    return ("robber", None, None) if best is None else ("cop", *best)
+
+
+def _outcome(res):
+    return res.winner, res.optimal_placement, res.capture_time_rounds
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_shared_pass_matches_oracle(k):
+    """Each start's space holds every live placement; the answer must be
+    the one the memoization-free oracle gives placement by placement."""
+    for n in range(1, 6):
+        for g in connected_graph_classes(n):
+            want = _reference_placement_search(g, k, lambda p, r: oracle_rounds(g, p, r))
+            assert _outcome(cop_wins_with_k(g, k)) == want, (g.edges, k)
+
+
+def _shuffled(g, seed):
+    rng = random.Random(seed)
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return build_graph(g.vertex_count, edges)
+
+
+@pytest.mark.parametrize(
+    "family, params, k",
+    [
+        ("cycle", (9,), 1),
+        ("grid", (2, 6), 1),
+        ("complete_bipartite", (2, 4), 1),
+        ("capture_family", (1, 3), 1),
+        ("spider", (3, 3, 3), 2),
+    ],
+)
+def test_shared_pass_matches_per_start_solves_on_relabeled_graphs(fam, family, params, k):
+    """Relabeling reorders placements and starts, so this pins the
+    placement tie-break against one `solve_position` per (placement, start)."""
+    g = _shuffled(fam(family, *params), 7)
+
+    def rounds_of(p, r):
+        return solve_position(g, GameState(0, p, r, COP_TURN)).rounds
+
+    assert _outcome(cop_wins_with_k(g, k)) == _reference_placement_search(g, k, rounds_of)
+
+
+def test_values_at_the_shared_pass_reach(fam):
+    # Two cops win 2x8 (c_b(2xn) = ceil((n+2)/9) = 2) in 4 rounds.
+    assert _outcome(cop_wins_with_k(fam("grid", 2, 8), 2)) == ("cop", (0, 5), 4)
+    # One cop wins the 3x3 torus, where the family bounds give only 1 <= c_b <= 2.
+    bounds = family_formula(FamilySpec("torus", (3, 3)))
+    assert (bounds.exact, bounds.lower, bounds.upper) == (None, 1, 2)
+    assert _outcome(cop_wins_with_k(fam("torus", 3, 3), 1)) == ("cop", (0,), 5)
