@@ -195,8 +195,6 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
     cops = tuple(sorted(fixed.cop_placement(g)))
     if placements is None:
         starts = [v for v in range(g.vertex_count) if v not in cops]
-        if not starts:
-            starts = list(range(g.vertex_count))
     else:
         starts = list(placements)
     nodes = 0

@@ -92,6 +92,11 @@ def grid_vertex(n_cols: int, i: int, j: int) -> int:
     return j * n_cols + i
 
 
+def grid_coords(n_cols: int, v: int) -> tuple[int, int]:
+    """(column, row) of grid/torus vertex v; the inverse of grid_vertex."""
+    return v % n_cols, v // n_cols
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Build the named family member with its canonical numbering."""
     fam, p = spec.family, spec.params
@@ -137,14 +142,14 @@ def generate(spec: FamilySpec) -> Graph:
         return build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (3, 5)])
     if fam == "capture_family":
         m, k = p
-        s_block = lambda i: range(2 * k + i * m, 2 * k + (i + 1) * m)  # noqa: E731
-        edges = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        vs, us, blocks = capture_family_blocks(m, k)
+        edges = [(a, b) for a in vs for b in vs[a + 1:]]
         for i in range(k):
             for j in range(i + 1, k):
-                edges.extend((a, b) for a in s_block(i) for b in s_block(j))
-        for i in range(k):
-            edges.extend((i, a) for a in s_block(i))
-            edges.append((i, k + i))
+                edges.extend((a, b) for a in blocks[i] for b in blocks[j])
+        for v, u, block in zip(vs, us, blocks):
+            edges.extend((v, a) for a in block)
+            edges.append((v, u))
         return build_graph(2 * k + m * k, edges)
     if fam == "spider":
         edges = []
@@ -157,6 +162,28 @@ def generate(spec: FamilySpec) -> Graph:
                 nxt += 1
         return build_graph(nxt, edges)
     raise FamilySpecError(f"unrecognized family {fam!r}")
+
+
+def vertex_count(spec: FamilySpec) -> int:
+    """Number of vertices of generate(spec), without building it."""
+    fam, p = spec.family, spec.params
+    if fam in ("grid", "torus"):
+        return p[0] * p[1]
+    if fam == "hypercube":
+        return 1 << p[0]
+    if fam == "stalemate":
+        return 6
+    if fam == "capture_family":
+        return (p[0] + 2) * p[1]
+    if fam == "spider":
+        return 1 + sum(p)
+    return sum(p)  # path, cycle, complete: n; complete_bipartite: m + n
+
+
+def is_member(g: Graph, spec: FamilySpec) -> bool:
+    """Whether g is generate(spec) up to the order of its edges; a spec of
+    another size is rejected without being built."""
+    return vertex_count(spec) == g.vertex_count and set(generate(spec).edges) == set(g.edges)
 
 
 def capture_family_blocks(m: int, k: int) -> tuple[list[int], list[int], list[list[int]]]:

@@ -260,4 +260,9 @@ def to_json_dict(g: Graph) -> dict:
 
 
 def from_json_dict(obj: dict) -> Graph:
-    return build_graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    n, edges = obj["n"], obj["edges"]
+    if type(n) is not int or not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+    ):
+        raise GraphError('JSON graph needs {"n": int, "edges": [[int, int], ...]}')
+    return build_graph(n, [tuple(e) for e in edges])

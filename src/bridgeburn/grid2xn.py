@@ -16,10 +16,11 @@ the confined corner region.
 
 from __future__ import annotations
 
-from .bounds import thm_2xn_columns
+from .bounds import placement_generators
 from .engine import GameState
+from .families import grid_vertex
 from .graph import Graph, component_bitmask
-from .strategies import Policy, PolicyApplicabilityError, _greedy_step
+from .strategies import Policy, _greedy_step, _require_family
 
 LEFT, RIGHT = -1, 1
 
@@ -29,14 +30,7 @@ class Grid2xnCopTeam(Policy):
     name = "grid2xn_cop"
 
     def __init__(self, g: Graph, n: int):
-        if n < 2 or g.vertex_count != 2 * n:
-            raise PolicyApplicabilityError("grid2xn_cop needs the 2xn grid")
-        for i in range(n - 1):
-            if not (g.has_edge(i, i + 1) and g.has_edge(n + i, n + i + 1)):
-                raise PolicyApplicabilityError("grid2xn_cop needs the 2xn grid")
-        for i in range(n):
-            if not g.has_edge(i, n + i):
-                raise PolicyApplicabilityError("grid2xn_cop needs the 2xn grid")
+        self.spec = _require_family(self, g, "grid", 2, n)
         self.n = n
 
     # vertex <-> coordinate helpers ------------------------------------------
@@ -46,11 +40,8 @@ class Grid2xnCopTeam(Policy):
     def _row(self, v: int) -> int:
         return v // self.n
 
-    def _at(self, col: int, row: int) -> int:
-        return row * self.n + col
-
     def cop_placement(self, g):
-        return tuple(sorted(self._at(c, 0) for c in thm_2xn_columns(self.n)))
+        return placement_generators(self.spec)
 
     def initial_pstate(self, g, cops, robber):
         # (cop turns taken, robber trace (first 5 positions), row-1-committed
@@ -156,21 +147,21 @@ class Grid2xnCopTeam(Policy):
         went_down = False
         if crow == 0 and not committed >> slot & 1:
             if self._opening_popped_up(trace) or self._opening_ran_away(trace, ccol):
-                down = self._at(ccol, 1)
+                down = grid_vertex(self.n, ccol, 1)
                 if self._edge_ok(g, burned, c, down):
                     return down, True
         if ccol == rcol:
             return c, went_down  # directly above/below with the rung burned
-        step = self._at(ccol + (1 if rcol > ccol else -1), crow)
+        step = grid_vertex(self.n, ccol + (1 if rcol > ccol else -1), crow)
         if self._edge_ok(g, burned, c, step):
-            other = self._at(self._col(step), 1 - crow)
+            other = grid_vertex(self.n, self._col(step), 1 - crow)
             if not self._edge_ok(g, burned, step, other):
                 # entering a rungless vertex: sidestep to the other row first
-                side = self._at(ccol, 1 - crow)
+                side = grid_vertex(self.n, ccol, 1 - crow)
                 if self._edge_ok(g, burned, c, side):
                     return side, went_down
             return step, went_down
-        side = self._at(ccol, 1 - crow)
+        side = grid_vertex(self.n, ccol, 1 - crow)
         if self._edge_ok(g, burned, c, side):
             return side, went_down
         return c, went_down
@@ -191,7 +182,7 @@ class Grid2xnCopTeam(Policy):
         # robber the distance drops every turn, and every robber move burns
         # one of his own escape edges)
         if cornerward and (ccol > guard_col if side == LEFT else ccol < guard_col):
-            step = self._at(ccol + side, crow)
+            step = grid_vertex(self.n, ccol + side, crow)
             if self._edge_ok(g, burned, c, step):
                 return step
         return _greedy_step(g, burned, c, r)

@@ -86,10 +86,6 @@ class BudgetExceeded(Exception):
         super().__init__(f"explored-state budget exceeded ({explored} states)")
         self.explored = explored
 
-    def __reduce__(self):
-        # Rebuild from the count, not the message, when a worker raises it.
-        return (BudgetExceeded, (self.explored,))
-
 
 class SolverInvariantError(RuntimeError):
     """A result broke a property the solver guarantees; a solver bug."""
@@ -247,20 +243,21 @@ def solve_position(
     _validate_state(g, state)
     if is_capture(state):
         return PositionValue("cop", 0, 1)
-    (rounds,), explored = _solve_roots(g, [state], variant, budget)
-    return PositionValue("cop" if rounds is not None else "robber", rounds, explored)
+    space, won, rank = _solve(g, [state], variant, budget)
+    rounds = (rank[0] + 1) // 2 if won[0] else None
+    return PositionValue("cop" if won[0] else "robber", rounds, len(space.keys))
 
 
-def _solve_roots(
+def _solve(
     g: Graph,
     roots: list[GameState],
     variant: Variant,
     budget: int | None,
-) -> tuple[list[int | None], int]:
-    """Capture rounds of each root (None for a robber win) and the space size.
+) -> tuple[_GameSpace, bytearray, list[int]]:
+    """The space grown from `roots` until every root is decided, with its
+    attractor (in-W flags, half-turn ranks).
 
-    The roots must be distinct non-capture states, so root i has id i.
-    Horizon doubling goes on until every root is decided.
+    The roots must stay distinct under the quotient, so root i has id i.
     """
     space = _GameSpace(g, roots, variant, budget)
     root_ids = range(len(roots))
@@ -269,7 +266,7 @@ def _solve_roots(
         space.expand_to(horizon)
         won, rank = space.run_attractor()
         if space.fully_expanded or all(won[i] and rank[i] < horizon for i in root_ids):
-            return [(rank[i] + 1) // 2 if won[i] else None for i in root_ids], len(space.keys)
+            return space, won, rank
         horizon *= 2
 
 
@@ -291,17 +288,18 @@ def extract_strategy(
 ) -> dict[GameState, GameState] | None:
     """Optimal cop moves from `state`, or None if the robber wins.
 
-    The quotient space is solved once; the strategy is then read off by
+    The quotient space is grown as for `solve_position`, up to the first
+    horizon above the root's rank; the strategy is then read off by
     walking real states forward: the chosen cop move, and every robber
     reply.  The result maps each CopTurn state of that walk to its move.
     The chosen move minimizes the attractor rank, ties broken by smallest
-    successor state, so the mapping is deterministic.
+    successor state, so the mapping is deterministic.  The walk stays
+    inside that horizon, where ranks are exact, so the fully expanded
+    space would give the same strategy.
     """
     state = state.canonical()
     _validate_state(g, state)
-    space = _GameSpace(g, [state], variant, budget)
-    space.expand_to(1 << 62)
-    won, rank = space.run_attractor()
+    space, won, rank = _solve(g, [state], variant, budget)
     if not won[0]:
         return None
     game = space.game
@@ -354,13 +352,14 @@ def _placement_rounds(
             continue
         remaining = None if budget is None else budget - explored
         roots = [GameState(0, p, r, COP_TURN) for p in live]
-        rounds, size = _solve_roots(g, roots, variant, remaining)
-        explored += size
-        for p, t in zip(live, rounds):
-            if t is None:
-                del worst[p]
+        space, won, rank = _solve(g, roots, variant, remaining)
+        explored += len(space.keys)
+        for i, p in enumerate(live):
+            if won[i]:
+                worst[p] = max(worst[p], (rank[i] + 1) // 2)
             else:
-                worst[p] = max(worst[p], t)
+                del worst[p]
+        del space, won, rank  # free this start's space before the next one is grown
         if not worst:
             break
     return worst, explored
@@ -413,11 +412,16 @@ def bridge_burning_cop_number(
 ) -> CopNumberResult:
     """Least k <= k_max such that k cops win; monotonicity in k is assumed.
 
-    `threads` is accepted and has no effect.
+    `budget` bounds the states explored over all k together.  `threads` is
+    accepted and has no effect.
     """
     explored = 0
     for k in range(1, k_max + 1):
-        res = cop_wins_with_k(g, k, variant, budget)
+        remaining = None if budget is None else budget - explored
+        try:
+            res = cop_wins_with_k(g, k, variant, remaining)
+        except BudgetExceeded:
+            raise BudgetExceeded(budget) from None
         explored += res.explored_states
         if res.winner == "cop":
             return CopNumberResult(k, k_max, explored)

@@ -1,22 +1,34 @@
 """Scripted policies for both sides, mirroring the constructive arguments.
 
 A policy is deterministic: given the graph, the current state, and its own
-internal state it returns exactly one move for its side.  Internal state
+internal state it returns exactly one move for its side.  In-game state
 is explicit and hashable so exhaustive validation can memoize on
-(game state, policy state) pairs.
+(game state, policy state) pairs.  `LeafIsolateRobber`,
+`Degree4IsolateRobber` and `EulerianStallRobber` also fix per-placement
+setup on the instance in `robber_placement`, which is sound because the
+exhaustive searches run one placement at a time.
 
 Cop policies return a tuple of destination vertices aligned with the
 sorted cop multiset; robber policies return a single destination vertex.
+A policy written for one family raises `PolicyApplicabilityError` unless
+`families.is_member` accepts the graph (`HypercubeMirrorCop` also takes Q0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
 from typing import Hashable
 
 from .bounds import placement_generators
 from .engine import GameState, cop_move_options
-from .families import FamilySpec, capture_family_blocks
+from .families import (
+    FamilySpec,
+    FamilySpecError,
+    capture_family_blocks,
+    grid_coords,
+    grid_vertex,
+    is_member,
+)
 from .graph import (
     Graph,
     all_degrees_even,
@@ -26,6 +38,17 @@ from .graph import (
 
 class PolicyApplicabilityError(ValueError):
     """The policy's preconditions do not hold for this graph/placement."""
+
+
+def _require_family(policy: "Policy", g: Graph, family: str, *params: int) -> FamilySpec:
+    """The spec of g's family; PolicyApplicabilityError unless g is exactly it."""
+    try:
+        spec = FamilySpec(family, params)
+    except FamilySpecError as e:
+        raise PolicyApplicabilityError(f"{policy.name}: {e}") from None
+    if not is_member(g, spec):
+        raise PolicyApplicabilityError(f"{policy.name} needs the graph {spec}")
+    return spec
 
 
 class Policy:
@@ -78,17 +101,10 @@ class StationaryCop(Policy):
         return tuple(state.cops), pstate
 
 
-class GreedyCloserCop(Policy):
+class GreedyCloserCop(StationaryCop):
     """Baseline chaser: each cop steps along a shortest unburned path."""
 
-    side = "cop"
     name = "greedy_closer"
-
-    def __init__(self, g: Graph, starts=(0,)):
-        self.starts = tuple(sorted(int(s) for s in starts))
-
-    def cop_placement(self, g):
-        return self.starts
 
     def choose(self, g, state, pstate):
         dest = tuple(_greedy_step(g, state.burned, c, state.robber) for c in state.cops)
@@ -106,9 +122,7 @@ class TorusPlacementCop(GreedyCloserCop):
     name = "torus_placement"
 
     def __init__(self, g: Graph, m: int, n: int):
-        if g.vertex_count != m * n:
-            raise PolicyApplicabilityError("graph is not the stated torus")
-        super().__init__(g, placement_generators(FamilySpec("torus", (m, n))))
+        super().__init__(g, placement_generators(_require_family(self, g, "torus", m, n)))
 
 
 class GridPlacementCop(GreedyCloserCop):
@@ -121,9 +135,7 @@ class GridPlacementCop(GreedyCloserCop):
     name = "grid_placement"
 
     def __init__(self, g: Graph, m: int, n: int):
-        if g.vertex_count != m * n:
-            raise PolicyApplicabilityError("graph is not the stated grid")
-        super().__init__(g, placement_generators(FamilySpec("grid", (m, n))))
+        super().__init__(g, placement_generators(_require_family(self, g, "grid", m, n)))
 
 
 class HypercubeMirrorCop(Policy):
@@ -317,6 +329,8 @@ class LeafIsolateRobber(Policy):
     name = "leaf_isolate"
 
     def __init__(self, g: Graph, leaf: int | None = None):
+        if leaf is not None and not 0 <= leaf < g.vertex_count:
+            raise PolicyApplicabilityError(f"leaf {leaf} is not a vertex")
         self.requested_leaf = leaf
         self.leaf: int | None = None
 
@@ -342,32 +356,25 @@ class LeafIsolateRobber(Policy):
         return state.robber, pstate
 
 
-def _grid_coords(n_cols: int, v: int) -> tuple[int, int]:
-    return v % n_cols, v // n_cols
-
-
-def _grid_index(n_cols: int, i: int, j: int) -> int:
-    return j * n_cols + i
-
-
 class CornerIsolateRobber(PlanRobber):
     """Four-move loop around a grid corner, ending isolated on it."""
 
     name = "corner_isolate"
 
     def __init__(self, g: Graph, m: int, n: int, corner: tuple[int, int] = (0, 0)):
+        _require_family(self, g, "grid", m, n)
         ci, cj = corner
         if ci not in (0, n - 1) or cj not in (0, m - 1):
             raise PolicyApplicabilityError(f"{corner} is not a corner of the {m}x{n} grid")
         dx = 1 if ci == 0 else -1
         dy = 1 if cj == 0 else -1
         walk = [
-            _grid_index(n, ci + dx, cj),
-            _grid_index(n, ci + dx, cj + dy),
-            _grid_index(n, ci, cj + dy),
-            _grid_index(n, ci, cj),
+            grid_vertex(n, ci + dx, cj),
+            grid_vertex(n, ci + dx, cj + dy),
+            grid_vertex(n, ci, cj + dy),
+            grid_vertex(n, ci, cj),
         ]
-        super().__init__(g, _grid_index(n, ci, cj), walk)
+        super().__init__(g, grid_vertex(n, ci, cj), walk)
 
 
 class BorderIsolateRobber(PlanRobber):
@@ -376,17 +383,18 @@ class BorderIsolateRobber(PlanRobber):
     name = "border_isolate"
 
     def __init__(self, g: Graph, m: int, n: int, i: int, row: int = 0, direction: int = 1):
+        _require_family(self, g, "grid", m, n)
         dy = 1 if row == 0 else -1
         d = direction
-        if not (0 <= i - 2 * d < n and 0 <= i < n):
+        if row not in (0, m - 1) or not (0 <= i - 2 * d < n and 0 <= i < n):
             raise PolicyApplicabilityError("border run leaves the grid")
-        start = _grid_index(n, i - 2 * d, row)
+        start = grid_vertex(n, i - 2 * d, row)
         walk = [
-            _grid_index(n, i - d, row),
-            _grid_index(n, i - d, row + dy),
-            _grid_index(n, i, row + dy),
-            _grid_index(n, i, row),
-            _grid_index(n, i - d, row),
+            grid_vertex(n, i - d, row),
+            grid_vertex(n, i - d, row + dy),
+            grid_vertex(n, i, row + dy),
+            grid_vertex(n, i, row),
+            grid_vertex(n, i - d, row),
         ]
         super().__init__(g, start, walk)
 
@@ -415,10 +423,11 @@ class Degree4IsolateRobber(Policy):
     name = "degree4_isolate"
 
     def __init__(self, g: Graph, m: int, n: int, center: tuple[int, int], wrap: bool):
+        _require_family(self, g, "torus" if wrap else "grid", m, n)
         self.m, self.n, self.wrap = m, n, wrap
         self.ci, self.cj = center
-        v = _grid_index(n, self.ci, self.cj)
-        if g.degree(v) != 4:
+        v = grid_vertex(n, self.ci, self.cj)
+        if not (0 <= self.ci < n and 0 <= self.cj < m) or g.degree(v) != 4:
             raise PolicyApplicabilityError("center must have degree 4")
         self.v = v
         self.sx = 1
@@ -431,7 +440,7 @@ class Degree4IsolateRobber(Policy):
             j %= self.m
         if not (0 <= i < self.n and 0 <= j < self.m):
             raise PolicyApplicabilityError("isolation loop leaves the grid")
-        return _grid_index(self.n, i, j)
+        return grid_vertex(self.n, i, j)
 
     def robber_placement(self, g, cops):
         dist = all_distances_from(g, self.v)
@@ -450,7 +459,7 @@ class Degree4IsolateRobber(Policy):
 
     def _orient_away_from(self, cop: int) -> None:
         # Flip axes so the nearby cop sits weakly left of and above the center.
-        i, j = _grid_coords(self.n, cop)
+        i, j = grid_coords(self.n, cop)
         dx, dy = i - self.ci, j - self.cj
         if self.wrap:
             if dx > self.n // 2:
@@ -517,12 +526,10 @@ class EulerianStallRobber(Policy):
     name = "eulerian_stall"
 
     def __init__(self, g: Graph, m: int, k: int):
-        if m * (k - 1) % 2:
-            raise PolicyApplicabilityError("needs m(k-1) even for the Eulerian circuit")
         if k < 2:
             raise PolicyApplicabilityError("needs k >= 2 partite blocks")
-        if g.vertex_count != m * k + 2 * k:
-            raise PolicyApplicabilityError("graph is not capture_family(m, k)")
+        # The family's own rule, m(k-1) even, is what the Eulerian circuit needs.
+        _require_family(self, g, "capture_family", m, k)
         self.m, self.k = m, k
         self.vs, self.us, self.blocks = capture_family_blocks(m, k)
         self.block_of = {}
@@ -638,9 +645,7 @@ class StalematePolicyRobber(Policy):
     U, V, W, X, Y, Z = range(6)
 
     def __init__(self, g: Graph):
-        expected = {(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 5)}
-        if g.vertex_count != 6 or set(g.edges) != expected:
-            raise PolicyApplicabilityError("stalemate_policy needs the stalemate graph")
+        _require_family(self, g, "stalemate")
 
     def robber_placement(self, g, cops):
         if len(cops) != 1:
@@ -708,86 +713,47 @@ def robber_distance_safe(
 # --- catalog ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    side: str
-    factory: object  # (Graph, [params]) -> Policy
-    summary: str
+def _policies() -> dict:
+    """Policy name -> constructor called as (g, *int params).
 
-
-def _build_catalog():
+    A lambda's parameter names are the CLI parameter list.  Built on call,
+    because grid2xn imports this module.
+    """
     from .grid2xn import Grid2xnCopTeam
 
-    def two(f):
-        return lambda g, p: f(g, int(p[0]), int(p[1]))
-
     return {
-        "stationary": CatalogEntry(
-            "cop", lambda g, p: StationaryCop(g, [int(x) for x in p] or (0,)), "stand still"
+        "stationary": lambda g, *cops: StationaryCop(g, cops or (0,)),
+        "greedy_closer": lambda g, *cops: GreedyCloserCop(g, cops or (0,)),
+        "hypercube_mirror": HypercubeMirrorCop,
+        "guard_start_vertex": GuardStartVertexCop,
+        "grid2xn_cop": Grid2xnCopTeam,
+        "torus_placement": TorusPlacementCop,
+        "grid_placement": GridPlacementCop,
+        "farthest": lambda g: FarthestRobber(),
+        "leaf_isolate": LeafIsolateRobber,
+        "corner_isolate": lambda g, m, n, ci, cj: CornerIsolateRobber(g, m, n, (ci, cj)),
+        "border_isolate": BorderIsolateRobber,
+        "gap_isolate": GapIsolateRobber,
+        "degree4_isolate": lambda g, m, n, i, j, wrap: Degree4IsolateRobber(
+            g, m, n, (i, j), bool(wrap)
         ),
-        "greedy_closer": CatalogEntry(
-            "cop",
-            lambda g, p: GreedyCloserCop(g, [int(x) for x in p] or (0,)),
-            "always step along a shortest path to the robber",
-        ),
-        "hypercube_mirror": CatalogEntry(
-            "cop", lambda g, p: HypercubeMirrorCop(g), "close in, then mirror on Q_d"
-        ),
-        "guard_start_vertex": CatalogEntry(
-            "cop",
-            lambda g, p: GuardStartVertexCop(g, int(p[0]) if p else 0),
-            "even-degree guard of the robber's start",
-        ),
-        "grid2xn_cop": CatalogEntry(
-            "cop", lambda g, p: Grid2xnCopTeam(g, int(p[0])), "2xn placement and chase"
-        ),
-        "torus_placement": CatalogEntry("cop", two(TorusPlacementCop), "torus bound placement"),
-        "grid_placement": CatalogEntry("cop", two(GridPlacementCop), "grid bound placement"),
-        "farthest": CatalogEntry(
-            "robber", lambda g, p: FarthestRobber(), "greedily keep away from the cops"
-        ),
-        "leaf_isolate": CatalogEntry(
-            "robber",
-            lambda g, p: LeafIsolateRobber(g, int(p[0]) if p else None),
-            "step onto an unguarded leaf",
-        ),
-        "corner_isolate": CatalogEntry(
-            "robber",
-            lambda g, p: CornerIsolateRobber(g, int(p[0]), int(p[1]), (int(p[2]), int(p[3]))),
-            "corner loop (m, n, ci, cj)",
-        ),
-        "border_isolate": CatalogEntry(
-            "robber",
-            lambda g, p: BorderIsolateRobber(g, *[int(x) for x in p]),
-            "border run (m, n, i[, row[, dir]])",
-        ),
-        "gap_isolate": CatalogEntry(
-            "robber",
-            lambda g, p: GapIsolateRobber(g, *[int(x) for x in p]),
-            "2xn mid-grid run (n, j[, dir])",
-        ),
-        "degree4_isolate": CatalogEntry(
-            "robber",
-            lambda g, p: Degree4IsolateRobber(
-                g, int(p[0]), int(p[1]), (int(p[2]), int(p[3])), bool(int(p[4]))
-            ),
-            "interior double loop (m, n, i, j, wrap)",
-        ),
-        "eulerian_stall": CatalogEntry(
-            "robber", two(EulerianStallRobber), "stall along an Eulerian circuit (m, k)"
-        ),
-        "stalemate_policy": CatalogEntry(
-            "robber", lambda g, p: StalematePolicyRobber(g), "Figure-1 stalemate play"
-        ),
+        "eulerian_stall": EulerianStallRobber,
+        "stalemate_policy": StalematePolicyRobber,
     }
 
 
 def make_policy(name: str, g: Graph, params: list = ()) -> Policy:
-    catalog = _build_catalog()
-    if name not in catalog:
+    """Build the named policy on g; `params` must convert with `int`."""
+    make = _policies().get(name)
+    if make is None:
         raise PolicyApplicabilityError(f"unknown policy {name!r}")
-    return catalog[name].factory(g, list(params))
+    try:
+        args = [int(p) for p in params]
+        inspect.signature(make).bind(g, *args)
+    except (TypeError, ValueError) as e:
+        raise PolicyApplicabilityError(f"bad parameters {list(params)} for {name}: {e}") from None
+    return make(g, *args)
 
 
 def policy_names() -> list[str]:
-    return sorted(_build_catalog().keys())
+    return sorted(_policies())

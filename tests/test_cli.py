@@ -111,3 +111,40 @@ def test_policies_listing(capsys):
     code, out = run(capsys, "policies")
     assert code == 0
     assert "hypercube_mirror" in json.loads(out)["policies"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arena", "--family", "grid", "--params", "2,5",
+         "--cop", "grid2xn_cop", "--robber", "farthest"],
+        ["arena", "--family", "grid", "--params", "2,5",
+         "--cop", "grid2xn_cop:5", "--robber", "corner_isolate:2,8"],
+        ["arena", "--family", "grid", "--params", "2,5",
+         "--cop", "torus_placement:5", "--robber", "farthest"],
+        ["exhaust", "--family", "torus", "--params", "8,8", "--fixed", "grid_placement:8,8"],
+        ["exhaust", "--family", "grid", "--params", "3,3", "--fixed", "torus_placement:3,3"],
+        ["exhaust", "--family", "grid", "--params", "2,6", "--fixed", "grid2xn_cop:x"],
+    ],
+)
+def test_bad_policy_is_input_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": [[0, 1.5]]}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": "3", "edges": []}',
+    ],
+)
+def test_malformed_json_graph_is_input_error(capsys, tmp_path, text):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    code, out = run(capsys, "solve", "--graph", str(f), "--cops", "1")
+    assert code == 2
+    assert json.loads(out)["error"] == "input"

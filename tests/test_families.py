@@ -1,7 +1,15 @@
 import pytest
 
-from bridgeburn.families import FamilySpec, FamilySpecError, capture_family_blocks, generate
-from bridgeburn.graph import all_degrees_even, bfs_distance, is_connected
+from bridgeburn.families import (
+    FamilySpec,
+    FamilySpecError,
+    capture_family_blocks,
+    generate,
+    grid_coords,
+    grid_vertex,
+    is_member,
+)
+from bridgeburn.graph import all_degrees_even, bfs_distance, build_graph, is_connected
 
 
 def test_grid_2x3_counts(fam):
@@ -109,3 +117,42 @@ def test_all_generated_connected(fam):
         fam("spider", 1, 2, 4),
     ]:
         assert is_connected(g)
+
+
+SPECS = [
+    ("path", (6,)),
+    ("cycle", (5,)),
+    ("complete", (4,)),
+    ("complete_bipartite", (2, 3)),
+    ("grid", (2, 5)),
+    ("grid", (3, 3)),
+    ("torus", (3, 3)),
+    ("torus", (3, 4)),
+    ("hypercube", (3,)),
+    ("stalemate", ()),
+    ("capture_family", (2, 3)),
+    ("spider", (1, 2, 4)),
+]
+
+
+@pytest.mark.parametrize("family,params", SPECS)
+def test_is_member_up_to_edge_order(family, params):
+    spec = FamilySpec(family, params)
+    g = generate(spec)
+    assert is_member(g, spec)
+    assert is_member(build_graph(g.vertex_count, [(v, u) for (u, v) in reversed(g.edges)]), spec)
+    assert not is_member(build_graph(g.vertex_count, g.edges[1:]), spec)  # a subgraph
+    others = [FamilySpec(f, p) for (f, p) in SPECS if (f, p) != (family, params)]
+    assert not any(is_member(g, other) for other in others)
+
+
+def test_is_member_rejects_a_supergraph(fam):
+    g = fam("grid", 2, 5)
+    plus = build_graph(g.vertex_count, [*g.edges, (0, 6)])
+    assert not is_member(plus, FamilySpec("grid", (2, 5)))
+
+
+def test_grid_coords_inverts_grid_vertex():
+    assert [grid_coords(4, grid_vertex(4, i, j)) for j in range(3) for i in range(4)] == [
+        (i, j) for j in range(3) for i in range(4)
+    ]

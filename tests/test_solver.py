@@ -9,6 +9,7 @@ from bridgeburn.engine import (
     CLASSIC,
     COP_TURN,
     GameState,
+    ROBBER_TURN,
     PackedGame,
     is_capture,
     robber_successors,
@@ -233,6 +234,22 @@ def test_strategy_walk_beats_every_robber_reply(fam):
                 layer = {s for s in nxt if not is_capture(s)}
                 half += 1
     assert masked
+
+
+def test_strategy_extraction_stops_at_the_roots_horizon(fam):
+    # A 1-round capture: the fully expanded space has 221,791 states.
+    g = fam("complete", 6)
+    strat = extract_strategy(g, GameState(0, (0, 1), 5, COP_TURN), budget=1000)
+    assert strat == {GameState(0, (0, 1), 5, COP_TURN): GameState(0, (0, 5), 5, ROBBER_TURN)}
+
+
+def test_cop_number_budget_counts_every_k(fam):
+    g = fam("path", 7)  # c_b = 2: k = 1 and k = 2 are both solved
+    full = bridge_burning_cop_number(g, budget=None)
+    assert bridge_burning_cop_number(g, budget=full.explored_states) == full
+    with pytest.raises(BudgetExceeded) as e:
+        bridge_burning_cop_number(g, budget=full.explored_states - 1)
+    assert e.value.explored == full.explored_states - 1
 
 
 def test_budget_outcome_does_not_depend_on_threads(fam):

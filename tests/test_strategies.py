@@ -4,9 +4,17 @@ import pytest
 
 from bridgeburn.arena import IllegalPolicyMoveError, exhaust_vs_policy, run_match
 from bridgeburn.bounds import thm_2xn_columns
-from bridgeburn.engine import COP_TURN, GameState, cop_move_options, is_capture, make_state
+from bridgeburn.engine import (
+    COP_TURN,
+    GameState,
+    apply_cop_moves,
+    apply_robber_move,
+    cop_move_options,
+    is_capture,
+    make_state,
+)
 from bridgeburn.families import FamilySpec, generate
-from bridgeburn.graph import all_distances_from, build_graph
+from bridgeburn.graph import build_graph
 from bridgeburn.grid2xn import Grid2xnCopTeam
 from bridgeburn.strategies import (
     CornerIsolateRobber,
@@ -52,6 +60,78 @@ def test_make_policy_unknown():
     g = generate(FamilySpec("path", (3,)))
     with pytest.raises(PolicyApplicabilityError):
         make_policy("nope", g)
+
+
+# One valid (family, parameters) pair per catalog name.
+CATALOG_CASES = {
+    "stationary": (("path", 4), ["1", "2"]),
+    "greedy_closer": (("cycle", 7), []),
+    "hypercube_mirror": (("hypercube", 3), []),
+    "guard_start_vertex": (("cycle", 6), ["2"]),
+    "grid2xn_cop": (("grid", 2, 6), ["6"]),
+    "torus_placement": (("torus", 4, 4), ["4", "4"]),
+    "grid_placement": (("grid", 8, 8), ["8", "8"]),
+    "farthest": (("path", 4), []),
+    "leaf_isolate": (("path", 6), ["5"]),
+    "corner_isolate": (("grid", 2, 8), ["2", "8", "7", "1"]),
+    "border_isolate": (("grid", 3, 8), ["3", "8", "4", "2", "-1"]),
+    "gap_isolate": (("grid", 2, 13), ["13", "3"]),
+    "degree4_isolate": (("torus", 11, 11), ["11", "11", "5", "5", "1"]),
+    "eulerian_stall": (("capture_family", 2, 2), ["2", "2"]),
+    "stalemate_policy": (("stalemate",), []),
+}
+
+
+@pytest.mark.parametrize("name", policy_names())
+def test_catalog_builds_every_policy(fam, name):
+    family, params = CATALOG_CASES[name]
+    assert make_policy(name, fam(*family), params).name == name
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("grid2xn_cop", []),
+        ("grid2xn_cop", ["6", "1"]),
+        ("grid2xn_cop", ["six"]),
+        ("grid2xn_cop", ["6.0"]),
+        ("corner_isolate", ["2", "6"]),
+        ("hypercube_mirror", ["3"]),
+        ("farthest", ["1"]),
+    ],
+)
+def test_make_policy_rejects_bad_parameter_lists(fam, name, params):
+    family, _ = CATALOG_CASES[name]
+    with pytest.raises(PolicyApplicabilityError):
+        make_policy(name, fam(*family), params)
+
+
+@pytest.mark.parametrize(
+    "name,family,params",
+    [
+        ("grid2xn_cop", ("grid", 2, 5), ["6"]),
+        ("grid_placement", ("torus", 8, 8), ["8", "8"]),
+        ("torus_placement", ("grid", 3, 3), ["3", "3"]),
+        ("torus_placement", ("grid", 3, 3), ["2", "2"]),  # not a valid torus spec
+        ("corner_isolate", ("grid", 2, 5), ["2", "8", "7", "1"]),
+        ("border_isolate", ("grid", 2, 5), ["2", "5", "3", "7"]),
+        ("degree4_isolate", ("grid", 11, 11), ["11", "11", "5", "5", "1"]),
+        ("eulerian_stall", ("capture_family", 2, 3), ["2", "2"]),
+        ("stalemate_policy", ("cycle", 6), []),
+        ("degree4_isolate", ("grid", 5, 5), ["5", "5", "7", "2", "0"]),  # column 7 of 5
+        ("leaf_isolate", ("path", 6), ["6"]),
+        ("leaf_isolate", ("path", 6), ["-1"]),
+    ],
+)
+def test_family_policies_reject_other_graphs(fam, name, family, params):
+    with pytest.raises(PolicyApplicabilityError):
+        make_policy(name, fam(*family), params)
+
+
+def test_grid2xn_rejects_a_supergraph(fam):
+    g = fam("grid", 2, 5)
+    with pytest.raises(PolicyApplicabilityError):
+        Grid2xnCopTeam(build_graph(10, [*g.edges, (0, 6)]), 5)
 
 
 # --- applicability validation --------------------------------------------------
@@ -279,13 +359,8 @@ def test_distance_safe_rejects_non_walk(fam):
 
 
 # --- legality fuzz: every policy emits only legal moves -------------------------
-
-
-def _legal_cop_move(g, state, dests):
-    return all(
-        d == c or (g.has_edge(c, d) and not state.burned >> g.edge_id(c, d) & 1)
-        for c, d in zip(state.cops, dests)
-    )
+# Moves go through engine.apply_cop_moves / apply_robber_move, which raise
+# IllegalMoveError on an illegal one.
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -308,21 +383,12 @@ def test_cop_policies_emit_legal_moves(fam, seed):
             if is_capture(state):
                 break
             dests, ps = pol.choose(g, state, ps)
-            assert _legal_cop_move(g, state, dests), (pol.name, state, dests)
-            state = make_state(state.burned, dests, state.robber, 1)
+            state, _ = apply_cop_moves(g, state, dests)
             if is_capture(state):
                 break
             # random legal robber reply
-            opts = [state.robber] + [
-                y for (y, eid) in g.adjacency[state.robber] if not state.burned >> eid & 1
-            ]
-            to = rnd.choice(opts)
-            if to != state.robber:
-                state = make_state(
-                    state.burned | (1 << g.edge_id(state.robber, to)), state.cops, to, COP_TURN
-                )
-            else:
-                state = make_state(state.burned, state.cops, to, COP_TURN)
+            to = rnd.choice(cop_move_options(g, state.burned, state.robber))
+            state, _ = apply_robber_move(g, state, to)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -344,20 +410,10 @@ def test_robber_policies_emit_legal_moves(fam, seed):
         for _ in range(25):
             # random legal cop move
             dests = tuple(rnd.choice(cop_move_options(g, state.burned, c)) for c in state.cops)
-            state = make_state(state.burned, dests, state.robber, 1)
+            state, _ = apply_cop_moves(g, state, dests)
             if is_capture(state):
                 break
             to, ps = pol.choose(g, state, ps)
-            legal = to == state.robber or (
-                g.has_edge(state.robber, to)
-                and not state.burned >> g.edge_id(state.robber, to) & 1
-            )
-            assert legal, (pol.name, state, to)
-            if to != state.robber:
-                state = make_state(
-                    state.burned | (1 << g.edge_id(state.robber, to)), state.cops, to, COP_TURN
-                )
-            else:
-                state = make_state(state.burned, state.cops, to, COP_TURN)
+            state, _ = apply_robber_move(g, state, to)
             if is_capture(state):
                 break
