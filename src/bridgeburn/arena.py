@@ -15,7 +15,10 @@ memoization sound for stateful policies.
 
 The arena holds no rules of its own: every move, a policy's or the free
 side's, is applied by the engine's apply_cop_moves / apply_robber_move,
-and the free side's candidates come from cop_move_options.
+and the free side's candidates come from cop_move_options.  Every
+placement is checked against the graph before play from it starts:
+free-side placements before the search, a cop policy's cops before the
+robber policy sees them, then the robber's vertex.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .engine import (
     is_capture,
     robber_component_check,
 )
-from .graph import Graph
+from .graph import Graph, check_vertex
 from .solver import BudgetExceeded
 from .strategies import Policy
 
@@ -76,6 +79,14 @@ def _policy_move(policy: Policy, apply, *args):
         raise IllegalPolicyMoveError(policy, str(e)) from None
 
 
+def _take_cops(g: Graph, placement) -> tuple[int, ...]:
+    """The sorted cop multiset of a placement; VertexRangeError on a non-vertex."""
+    cops = tuple(sorted(placement))
+    for c in cops:
+        check_vertex(g, c)
+    return cops
+
+
 def run_match(
     g: Graph,
     cop: Policy,
@@ -87,8 +98,11 @@ def run_match(
         raise ValueError("run_match needs one cop policy and one robber policy")
     if max_rounds is None:
         max_rounds = max(1, g.edge_count * g.vertex_count)
-    cops = tuple(sorted(cop.cop_placement(g)))
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+    cops = _take_cops(g, cop.cop_placement(g))
     r0 = robber.robber_placement(g, cops)
+    check_vertex(g, r0)
     state = GameState(0, cops, r0, COP_TURN)
     t = Transcript(graph=g, initial=state)
     if is_capture(state):
@@ -141,11 +155,13 @@ def exhaust_vs_policy(
 def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
     if placements is None:
         placements = itertools.combinations_with_replacement(range(g.vertex_count), k_cops)
+    else:
+        placements = [_take_cops(g, p) for p in placements]
     nodes = 0
     best: tuple[int, Transcript] | None = None  # (capture half-depth, transcript)
-    for placement in placements:
-        cops = tuple(sorted(placement))
+    for cops in placements:
         r0 = fixed.robber_placement(g, cops)
+        check_vertex(g, r0)
         init = GameState(0, cops, r0, COP_TURN)
         ps0 = fixed.initial_pstate(g, cops, r0)
         if is_capture(init):
@@ -192,11 +208,13 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
 
 
 def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
-    cops = tuple(sorted(fixed.cop_placement(g)))
+    cops = _take_cops(g, fixed.cop_placement(g))
     if placements is None:
         starts = [v for v in range(g.vertex_count) if v not in cops]
     else:
         starts = list(placements)
+        for r0 in starts:
+            check_vertex(g, r0)
     nodes = 0
     # Iterative DFS with an explicit GRAY set: a repeated in-progress node
     # means the robber can loop forever, beating the cop policy.

@@ -72,7 +72,8 @@ def _ball_masks(g: Graph, radius: int) -> list[int]:
 
 
 def _min_cover(universe: int, masks: list[int], n: int) -> tuple[int, tuple[int, ...]]:
-    """Smallest subset of vertices whose masks union to the universe."""
+    """Smallest index set in range(n) whose masks union to the universe,
+    with the first such set in combinations order."""
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
             acc = 0
@@ -80,7 +81,7 @@ def _min_cover(universe: int, masks: list[int], n: int) -> tuple[int, tuple[int,
                 acc |= masks[v]
             if acc == universe:
                 return size, combo
-    raise AssertionError("full vertex set always covers")
+    raise AssertionError("the masks do not cover the universe")
 
 
 def all_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -118,25 +119,17 @@ def domination_numbers(g: Graph) -> BoundsReport:
         for v in cl:
             m |= ball1[v]
         clique_dom[idx] = m
-    cover_k = None
-    witness_cliques: tuple[tuple[int, ...], ...] = ()
-    for k in range(1, gamma + 1):  # singletons are cliques, so k = gamma always works
-        for combo in itertools.combinations(range(len(cliques)), k):
-            acc = 0
-            for idx in combo:
-                acc |= clique_dom[idx]
-            if acc == universe:
-                cover_k = k
-                witness_cliques = tuple(cliques[idx] for idx in combo)
-                break
-        if cover_k is not None:
-            break
-    assert cover_k is not None
+    # singletons are cliques, so a cover of at most gamma cliques exists
+    cover_k, combo = _min_cover(universe, clique_dom, len(cliques))
     return BoundsReport(
         gamma=gamma,
         gamma2=gamma2,
         clique_cover_dom=cover_k,
-        witnesses={"gamma": wg, "gamma2": wg2, "clique_cover_dom": witness_cliques},
+        witnesses={
+            "gamma": wg,
+            "gamma2": wg2,
+            "clique_cover_dom": tuple(cliques[idx] for idx in combo),
+        },
     )
 
 

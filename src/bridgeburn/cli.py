@@ -125,7 +125,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("arena", help="run one policy-vs-policy match")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.add_argument("--cop", required=True, help="cop policy NAME[:p1,p2,...]")
     p.add_argument("--robber", required=True, help="robber policy NAME[:p1,p2,...]")
     p.add_argument("--max-rounds", type=int, default=None)

@@ -8,7 +8,9 @@ checked after every half-turn and ends the game immediately.
 
 `apply_cop_moves` and `apply_robber_move` are the only legality check:
 the arena, `Transcript.replay` and `robber_successors` apply every move
-through them.
+through them.  The scripted policies ask `cop_move_options` which moves
+are open before they choose one, and the arena still applies whatever
+they return through `apply_*`, which remain the only enforcement.
 """
 
 from __future__ import annotations

@@ -98,40 +98,15 @@ def build_graph(vertex_count: int, edges) -> Graph:
     )
 
 
-def _check_vertex(g: Graph, v: int) -> None:
+def check_vertex(g: Graph, v: int) -> None:
+    """Raise VertexRangeError unless v is a vertex of g."""
     if not (0 <= v < g.vertex_count):
         raise VertexRangeError(f"vertex {v} outside [0,{g.vertex_count})")
 
 
-def bfs_distance(g: Graph, u: int, v: int, burned: int = 0) -> int:
-    """Shortest-path edge count from u to v, or UNREACHABLE.
-
-    Edges whose id bit is set in `burned` are ignored, so the same routine
-    serves both the intact graph and mid-game queries.
-    """
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        d = dist[x] + 1
-        for (y, eid) in g.adjacency[x]:
-            if burned >> eid & 1:
-                continue
-            if y not in dist:
-                if y == v:
-                    return d
-                dist[y] = d
-                q.append(y)
-    return UNREACHABLE
-
-
 def all_distances_from(g: Graph, u: int, burned: int = 0) -> list[int]:
     """BFS distances from u to every vertex (UNREACHABLE where disconnected)."""
-    _check_vertex(g, u)
+    check_vertex(g, u)
     dist = [UNREACHABLE] * g.vertex_count
     dist[u] = 0
     q = deque([u])
@@ -149,7 +124,7 @@ def all_distances_from(g: Graph, u: int, burned: int = 0) -> list[int]:
 
 def component_bitmask(g: Graph, v: int, burned: int = 0) -> int:
     """Bitmask over vertices of v's component, skipping burned edges."""
-    _check_vertex(g, v)
+    check_vertex(g, v)
     seen = 1 << v
     stack = [v]
     adjacency = g.adjacency

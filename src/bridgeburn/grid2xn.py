@@ -17,7 +17,7 @@ the confined corner region.
 from __future__ import annotations
 
 from .bounds import placement_generators
-from .engine import GameState
+from .engine import GameState, cop_move_options
 from .families import grid_vertex
 from .graph import Graph, component_bitmask
 from .strategies import Policy, _greedy_step, _require_family
@@ -48,24 +48,12 @@ class Grid2xnCopTeam(Policy):
         #  bitmask by sorted-cop slot, per-slot endgame side or 0)
         return (0, (robber,), 0, (0,) * len(cops))
 
-    # --- shared move predicates ----------------------------------------------
-    def _edge_ok(self, g, burned, a, b) -> bool:
-        for (w, eid) in g.adjacency[a]:
-            if w == b:
-                return not burned >> eid & 1
-        return False
-
-    def _capture_move(self, g, burned, c, r) -> int | None:
-        return r if self._edge_ok(g, burned, c, r) else None
-
     def choose(self, g, state: GameState, pstate):
         nturn, trace, committed, endgame = pstate
         r = state.robber
         if nturn > 0 and len(trace) < 6:
             trace = trace + (r,)
         cops = state.cops
-        if len(endgame) != len(cops):
-            endgame = (0,) * len(cops)
 
         rcol = self._col(r)
         # Logical order by (column, row) keeps flag ownership stable when a
@@ -137,9 +125,9 @@ class Grid2xnCopTeam(Policy):
     def _squeeze_move(self, g, state, c, role, slot, trace, committed, nturn):
         """Returns (destination, committed_to_row1_now)."""
         burned, r = state.burned, state.robber
-        cap = self._capture_move(g, burned, c, r)
-        if cap is not None:
-            return cap, False
+        open_moves = cop_move_options(g, burned, c)
+        if r in open_moves:
+            return r, False
         ccol, crow = self._col(c), self._row(c)
         rcol = self._col(r)
         if role == 0:
@@ -148,30 +136,30 @@ class Grid2xnCopTeam(Policy):
         if crow == 0 and not committed >> slot & 1:
             if self._opening_popped_up(trace) or self._opening_ran_away(trace, ccol):
                 down = grid_vertex(self.n, ccol, 1)
-                if self._edge_ok(g, burned, c, down):
+                if down in open_moves:
                     return down, True
         if ccol == rcol:
             return c, went_down  # directly above/below with the rung burned
         step = grid_vertex(self.n, ccol + (1 if rcol > ccol else -1), crow)
-        if self._edge_ok(g, burned, c, step):
+        if step in open_moves:
             other = grid_vertex(self.n, self._col(step), 1 - crow)
-            if not self._edge_ok(g, burned, step, other):
+            if other not in cop_move_options(g, burned, step):
                 # entering a rungless vertex: sidestep to the other row first
                 side = grid_vertex(self.n, ccol, 1 - crow)
-                if self._edge_ok(g, burned, c, side):
+                if side in open_moves:
                     return side, went_down
             return step, went_down
         side = grid_vertex(self.n, ccol, 1 - crow)
-        if self._edge_ok(g, burned, c, side):
+        if side in open_moves:
             return side, went_down
         return c, went_down
 
     # --- end-guard (one cop, robber cornered beyond it) ------------------------
     def _endgame_move(self, g, state, c, side) -> int:
         burned, r = state.burned, state.robber
-        cap = self._capture_move(g, burned, c, r)
-        if cap is not None:
-            return cap
+        open_moves = cop_move_options(g, burned, c)
+        if r in open_moves:
+            return r
         ccol, crow = self._col(c), self._row(c)
         rcol = self._col(r)
         guard_col = 2 if side == LEFT else self.n - 3
@@ -183,6 +171,6 @@ class Grid2xnCopTeam(Policy):
         # one of his own escape edges)
         if cornerward and (ccol > guard_col if side == LEFT else ccol < guard_col):
             step = grid_vertex(self.n, ccol + side, crow)
-            if self._edge_ok(g, burned, c, step):
+            if step in open_moves:
                 return step
         return _greedy_step(g, burned, c, r)

@@ -70,7 +70,7 @@ from .engine import (
     is_capture,
     robber_successors,
 )
-from .graph import Graph, is_connected
+from .graph import Graph, check_vertex, is_connected
 
 DEFAULT_BUDGET = 10**7
 
@@ -272,8 +272,7 @@ def _solve(
 
 def _validate_state(g: Graph, s: GameState) -> None:
     for v in (*s.cops, s.robber):
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(f"state references invalid vertex {v}")
+        check_vertex(g, v)
     if s.burned >> g.edge_count:
         raise ValueError("burned mask has bits beyond edge_count")
     if s.phase not in (COP_TURN, ROBBER_TURN):

@@ -20,7 +20,7 @@ import inspect
 from typing import Hashable
 
 from .bounds import placement_generators
-from .engine import GameState, cop_move_options
+from .engine import GameState, apply_robber_move, cop_move_options
 from .families import (
     FamilySpec,
     FamilySpecError,
@@ -29,12 +29,7 @@ from .families import (
     grid_vertex,
     is_member,
 )
-from .graph import (
-    Graph,
-    all_degrees_even,
-    all_distances_from,
-    bfs_distance,
-)
+from .graph import Graph, all_degrees_even, all_distances_from
 
 class PolicyApplicabilityError(ValueError):
     """The policy's preconditions do not hold for this graph/placement."""
@@ -76,9 +71,7 @@ def _greedy_step(g: Graph, burned: int, frm: int, target: int) -> int:
         return frm
     best = frm
     best_d = dist[frm]
-    for (y, eid) in sorted(g.adjacency[frm]):
-        if burned >> eid & 1:
-            continue
+    for y in sorted(cop_move_options(g, burned, frm)[1:]):
         if 0 <= dist[y] < best_d:
             best, best_d = y, dist[y]
     return best
@@ -186,7 +179,7 @@ class HypercubeMirrorCop(Policy):
         dest = None
         if moved_away:
             jbit = r ^ prev_r
-            if not burned >> g.edge_id(c, c ^ jbit) & 1:
+            if (c ^ jbit) in cop_move_options(g, burned, c):
                 dest = c ^ jbit
         if dest is None:
             dest = self._closer_move(g, burned, c, r, visited)
@@ -199,9 +192,10 @@ class HypercubeMirrorCop(Policy):
     def _closer_move(self, g, burned, c, r, visited):
         candidates = []
         diff = c ^ r
+        open_moves = cop_move_options(g, burned, c)
         b = 1
         for _ in range(self.d):
-            if diff & b and not burned >> g.edge_id(c, c ^ b) & 1:
+            if diff & b and (c ^ b) in open_moves:
                 keeps_unvisited = bool((c ^ b) & ~visited & ((1 << self.d) - 1))
                 candidates.append((not keeps_unvisited, b.bit_length() - 1, c ^ b))
             b <<= 1
@@ -237,7 +231,7 @@ class GuardStartVertexCop(Policy):
         c, r, burned = state.cops[0], state.robber, state.burned
         if not reached and c == v:
             reached = True
-        cur_rv = bfs_distance(g, r, v, burned)
+        cur_rv = all_distances_from(g, r, burned)[v]
         if not reached:
             dest = _greedy_step(g, burned, c, v)
             if dest == c:
@@ -274,16 +268,10 @@ class FarthestRobber(Policy):
         return max(choices, key=lambda v: (self._score(g, 0, v, cops), -v))
 
     def choose(self, g, state, pstate):
-        burned = state.burned
         best = max(
-            cop_move_options(g, burned, state.robber),
+            cop_move_options(g, state.burned, state.robber),
             key=lambda v: (
-                self._score(
-                    g,
-                    burned if v == state.robber else burned | (1 << g.edge_id(state.robber, v)),
-                    v,
-                    state.cops,
-                ),
+                self._score(g, apply_robber_move(g, state, v)[0].burned, v, state.cops),
                 -v,
             ),
         )
@@ -317,7 +305,7 @@ class PlanRobber(Policy):
         if step >= len(self.walk):
             return state.robber, pstate
         dest = self.walk[step]
-        if state.burned >> g.edge_id(state.robber, dest) & 1:
+        if dest not in cop_move_options(g, state.burned, state.robber):
             return state.robber, pstate  # plan edge gone; freeze in place
         return dest, step + 1
 
@@ -342,7 +330,8 @@ class LeafIsolateRobber(Policy):
         for leaf in candidates:
             if g.degree(leaf) != 1:
                 continue
-            if all(bfs_distance(g, leaf, c) > 2 for c in cops):
+            dist = all_distances_from(g, leaf)
+            if all(dist[c] > 2 for c in cops):
                 self.leaf = leaf
                 return g.neighbors(leaf)[0]
         raise PolicyApplicabilityError("no unguarded leaf for this cop placement")
@@ -500,15 +489,15 @@ class Degree4IsolateRobber(Policy):
             down, right = self._at(0, 1), self._at(1, 0)
 
             def nearest(target):
-                ds = [bfs_distance(g, c, target, state.burned) for c in state.cops]
-                ds = [d for d in ds if d >= 0]
+                dist = all_distances_from(g, target, state.burned)
+                ds = [dist[c] for c in state.cops if dist[c] >= 0]
                 return min(ds) if ds else 1 << 30
 
             # circle through the side no cop can cover within 3 steps
             variant = 1 if nearest(down) > 3 else 2 if nearest(right) > 3 else 1
         if step < 8:
             dest = self._second_half(variant)[step - 4]
-            if state.burned >> g.edge_id(state.robber, dest) & 1:
+            if dest not in cop_move_options(g, state.burned, state.robber):
                 return state.robber, (step, variant)
             return dest, (step + 1, variant)
         return state.robber, pstate
@@ -555,7 +544,7 @@ class EulerianStallRobber(Policy):
         return start
 
     def initial_pstate(self, g, cops, robber):
-        # (mode, circuit position); modes: 0 stall, 1 escape->v, 2 escape->u, 3 done/pendant
+        # (mode, circuit position); modes: 0 stall, 2 escape->u, 3 done/pendant
         return (3, 0) if self.mode0 == "pendant" else (0, 0)
 
     def choose(self, g, state, pstate):
@@ -564,21 +553,15 @@ class EulerianStallRobber(Policy):
         if mode == 3:
             if r in self.vs:  # pendant dash: v_j -> u_j
                 uj = self.us[self.vs.index(r)]
-                if not burned >> g.edge_id(r, uj) & 1:
+                if uj in cop_move_options(g, burned, r):
                     return uj, (3, pos)
             return r, (3, pos)
         if mode == 2:
             if r in self.vs:
                 uj = self.us[self.vs.index(r)]
-                if not burned >> g.edge_id(r, uj) & 1 and cop != uj:
+                if uj in cop_move_options(g, burned, r) and cop != uj:
                     return uj, (3, pos)
             return r, (3, pos)
-        if mode == 1:
-            t = self.block_of[r]
-            vt = self.vs[t]
-            if cop != vt and not burned >> g.edge_id(r, vt) & 1:
-                return vt, (2, pos)
-            mode = 0  # escape window closed; fall back to stalling
         # stall mode
         t = self.block_of[r]
         vt = self.vs[t]
@@ -590,10 +573,10 @@ class EulerianStallRobber(Policy):
                 return r, (0, pos)  # circuit exhausted: await capture
             return r, (0, pos)
         # cop strayed off the clique
-        d_vt = bfs_distance(g, cop, vt, burned)
-        if (d_vt < 0 or d_vt >= 2) and not burned >> g.edge_id(r, vt) & 1:
+        d_vt = all_distances_from(g, cop, burned)[vt]
+        if (d_vt < 0 or d_vt >= 2) and vt in cop_move_options(g, burned, r):
             return vt, (2, pos)
-        if g.has_edge(cop, r) and not burned >> g.edge_id(cop, r) & 1:
+        if cop != r and r in cop_move_options(g, burned, cop):
             nxt = self._advance(burned, r, pos)
             if nxt is not None and nxt[0] != cop:
                 return nxt
@@ -674,7 +657,7 @@ class StalematePolicyRobber(Policy):
                 dest = self.V
             elif c == self.V:
                 dest = self.X
-        if dest != r and state.burned >> g.edge_id(r, dest) & 1:
+        if dest not in cop_move_options(g, state.burned, r):
             dest = r
         return dest, pstate
 

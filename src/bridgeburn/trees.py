@@ -52,14 +52,18 @@ def tree_cop_number(t: Graph, root: int = 0) -> GuardReport:
     depth = all_distances_from(t, root)
     parent = _parents(t, root, depth)
     leaves = [v for v in range(t.vertex_count) if t.degree(v) <= 1]
+    leaf_set = set(leaves)
     placements: list[int] = []
     cop_dist: list[int] = [t.vertex_count + 2] * t.vertex_count
+    certificate: dict[int, int] = {}
 
     def place(c: int) -> None:
         placements.append(c)
         for v, d in enumerate(all_distances_from(t, c)):
             if d < cop_dist[v]:
                 cop_dist[v] = d
+            if d <= 2 and v in leaf_set:
+                certificate.setdefault(v, c)
 
     while True:
         unguarded = [v for v in leaves if cop_dist[v] > 2]
@@ -71,12 +75,6 @@ def tree_cop_number(t: Graph, root: int = 0) -> GuardReport:
         else:
             place(parent[parent[v]])
 
-    certificate: dict[int, int] = {}
-    for leaf in leaves:
-        for c in placements:
-            if _within2(t, leaf, c):
-                certificate[leaf] = c
-                break
     return GuardReport(root=root, placements=tuple(placements), guarded_certificate=certificate)
 
 
@@ -89,8 +87,3 @@ def _parents(t: Graph, root: int, depth: list[int]) -> list[int]:
                 break
     return parent
 
-
-def _within2(t: Graph, a: int, b: int) -> bool:
-    if a == b or t.has_edge(a, b):
-        return True
-    return any(t.has_edge(w, b) for w in t.neighbors(a))

@@ -8,6 +8,7 @@ from bridgeburn.strategies import (
     FarthestRobber,
     GreedyCloserCop,
     HypercubeMirrorCop,
+    LeafIsolateRobber,
     PlanRobber,
     StationaryCop,
 )
@@ -39,6 +40,31 @@ def test_robber_placement_on_cop_is_round_zero_capture(fam):
 
     tr = run_match(g, StationaryCop(g, (1,)), Suicidal(g, 1, []))
     assert tr.outcome.kind == "cop_win" and tr.outcome.round == 0
+
+
+def test_robber_placement_off_the_graph_is_rejected(fam):
+    g = fam("path", 3)
+
+    class Astray(PlanRobber):
+        def robber_placement(self, g, cops):
+            return 7
+
+    with pytest.raises(ValueError, match="vertex 7 "):
+        run_match(g, StationaryCop(g, (1,)), Astray(g, 1, []))
+    with pytest.raises(ValueError, match="max_rounds"):
+        run_match(g, StationaryCop(g, (1,)), PlanRobber(g, 0, []), max_rounds=-1)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_exhaust_rejects_free_placements_off_the_graph(fam, bad):
+    g = fam("path", 6)
+    # checked before the search: the robber starts alone beat this cop
+    starts = [v for v in range(6) if v != 2]
+    assert exhaust_vs_policy(g, GreedyCloserCop(g, (2,)), starts).outcome == "beaten"
+    with pytest.raises(ValueError, match=f"vertex {bad} "):
+        exhaust_vs_policy(g, GreedyCloserCop(g, (2,)), free_side_placements=[*starts, bad])
+    with pytest.raises(ValueError, match=f"vertex {bad} "):
+        exhaust_vs_policy(g, LeafIsolateRobber(g), free_side_placements=[(2,), (bad,)])
 
 
 def test_exhaust_budget_exceeded(fam):

@@ -134,6 +134,31 @@ def test_bad_policy_is_input_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, vertex",
+    [
+        (["exhaust", "--family", "cycle", "--params", "6", "--fixed", "stationary:99"], 99),
+        (["exhaust", "--family", "cycle", "--params", "6", "--fixed", "stationary:-1"], -1),
+        (["arena", "--family", "cycle", "--params", "6",
+          "--cop", "stationary:99", "--robber", "farthest"], 99),
+        (["arena", "--family", "cycle", "--params", "6",
+          "--cop", "stationary:-1", "--robber", "leaf_isolate"], -1),
+    ],
+)
+def test_cop_placement_off_the_graph_is_input_error(capsys, argv, vertex):
+    code, out = run(capsys, *argv)
+    obj = json.loads(out)
+    assert code == 2 and obj["error"] == "input"
+    assert f"vertex {vertex} " in obj["detail"]
+
+
+@pytest.mark.parametrize("extra", [["--max-rounds", "-1"], ["--budget", "5"]])
+def test_arena_rejects_negative_rounds_and_budget(capsys, extra):
+    code, out = run(capsys, "arena", "--family", "path", "--params", "4",
+                    "--cop", "stationary", "--robber", "farthest", *extra)
+    assert code == 2
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"n": 3, "edges": [[0, 1.5]]}',

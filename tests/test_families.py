@@ -9,7 +9,7 @@ from bridgeburn.families import (
     grid_vertex,
     is_member,
 )
-from bridgeburn.graph import all_degrees_even, bfs_distance, build_graph, is_connected
+from bridgeburn.graph import all_degrees_even, all_distances_from, build_graph, is_connected
 
 
 def test_grid_2x3_counts(fam):
@@ -70,7 +70,7 @@ def test_hypercube(fam):
     g = fam("hypercube", 3)
     assert g.vertex_count == 8
     assert g.edge_count == 12
-    assert bfs_distance(g, 0, 7) == 3
+    assert all_distances_from(g, 0)[7] == 3
 
 
 def test_spider(fam):

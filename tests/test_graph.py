@@ -9,7 +9,7 @@ from bridgeburn.graph import (
     SelfLoopError,
     VertexRangeError,
     all_degrees_even,
-    bfs_distance,
+    all_distances_from,
     build_graph,
     connected_components,
     cut_edges,
@@ -47,16 +47,16 @@ def test_c4_degrees():
 
 
 def test_bfs_examples(fam):
-    assert bfs_distance(fam("path", 5), 0, 4) == 4
+    assert all_distances_from(fam("path", 5), 0)[4] == 4
     torus = fam("torus", 3, 3)
-    assert bfs_distance(torus, 0, 2 * 3 + 2) == 2  # (0,0) to (2,2) wraps both ways
+    assert all_distances_from(torus, 0)[2 * 3 + 2] == 2  # (0,0) to (2,2) wraps both ways
     two_comp = build_graph(4, [(0, 1), (2, 3)])
-    assert bfs_distance(two_comp, 0, 3) == UNREACHABLE
+    assert all_distances_from(two_comp, 0)[3] == UNREACHABLE
 
 
 def test_bfs_respects_burned_edges(fam):
     g = fam("path", 3)
-    assert bfs_distance(g, 0, 2, burned=1 << g.edge_id(0, 1)) == UNREACHABLE
+    assert all_distances_from(g, 0, burned=1 << g.edge_id(0, 1))[2] == UNREACHABLE
 
 
 def brute_force_cut_edges(g):
