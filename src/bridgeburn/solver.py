@@ -407,12 +407,10 @@ def bridge_burning_cop_number(
     k_max: int = 8,
     variant: Variant = BRIDGE_BURNING,
     budget: int | None = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> CopNumberResult:
     """Least k <= k_max such that k cops win; monotonicity in k is assumed.
 
-    `budget` bounds the states explored over all k together.  `threads` is
-    accepted and has no effect.
+    `budget` bounds the states explored over all k together.
     """
     explored = 0
     for k in range(1, k_max + 1):

@@ -64,9 +64,9 @@ class Policy:
         raise NotImplementedError
 
 
-def _greedy_step(g: Graph, burned: int, frm: int, target: int) -> int:
-    """One step reducing current-graph distance to target; stay if impossible."""
-    dist = all_distances_from(g, target, burned)
+def _greedy_step(g: Graph, burned: int, frm: int, dist: list[int]) -> int:
+    """One step reducing `dist`, current-graph distances to a target; stay
+    if impossible."""
     if dist[frm] <= 0:
         return frm
     best = frm
@@ -100,7 +100,8 @@ class GreedyCloserCop(StationaryCop):
     name = "greedy_closer"
 
     def choose(self, g, state, pstate):
-        dest = tuple(_greedy_step(g, state.burned, c, state.robber) for c in state.cops)
+        dist = all_distances_from(g, state.robber, state.burned)
+        dest = tuple(_greedy_step(g, state.burned, c, dist) for c in state.cops)
         return dest, pstate
 
 
@@ -231,15 +232,16 @@ class GuardStartVertexCop(Policy):
         c, r, burned = state.cops[0], state.robber, state.burned
         if not reached and c == v:
             reached = True
-        cur_rv = all_distances_from(g, r, burned)[v]
+        from_r = all_distances_from(g, r, burned)
+        cur_rv = from_r[v]
         if not reached:
-            dest = _greedy_step(g, burned, c, v)
+            dest = _greedy_step(g, burned, c, all_distances_from(g, v, burned))
             if dest == c:
-                dest = _greedy_step(g, burned, c, r)
+                dest = _greedy_step(g, burned, c, from_r)
         else:
             robber_closed_in = cur_rv != -1 and (prev_rv == -1 or cur_rv < prev_rv)
-            target = v if robber_closed_in else r
-            dest = _greedy_step(g, burned, c, target)
+            dist = all_distances_from(g, v, burned) if robber_closed_in else from_r
+            dest = _greedy_step(g, burned, c, dist)
         return (dest,), (reached, v, cur_rv)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bridgeburn.arena import IllegalPolicyMoveError, exhaust_vs_policy, run_match
-from bridgeburn.bounds import thm_2xn_columns
+from bridgeburn.bounds import family_formula, thm_2xn_columns
 from bridgeburn.engine import (
     COP_TURN,
     GameState,
@@ -236,10 +236,15 @@ def test_guard_start_vertex_wins_on_c6(fam):
     assert exhaust_vs_policy(g, GuardStartVertexCop(g, 0)).wins_always
 
 
-def test_grid2xn_wins_small():
-    for n in range(2, 8):
-        g = generate(FamilySpec("grid", (2, n)))
-        assert exhaust_vs_policy(g, Grid2xnCopTeam(g, n)).wins_always, n
+@pytest.mark.parametrize("n", range(1, 41))
+def test_grid2xn_wins_small(n):
+    # The theorem's ceil((n+2)/9) cops, chasing greedily, beat every robber:
+    # the upper bound of c_b(P2 x Pn) at each size.
+    spec = FamilySpec("grid", (2, n))
+    g = generate(spec)
+    team = Grid2xnCopTeam(g, n)
+    assert len(team.cop_placement(g)) == family_formula(spec).exact
+    assert exhaust_vs_policy(g, team).outcome == "wins"
 
 
 @pytest.mark.parametrize(
