@@ -19,6 +19,15 @@ and the free side's candidates come from cop_move_options.  Every
 placement is checked against the graph before play from it starts:
 free-side placements before the search, a cop policy's cops before the
 robber policy sees them, then the robber's vertex.
+
+Each exhaustive search keeps one dict, for that exhaust_vs_policy call
+only, from (burned mask, robber vertex) to the robber's component, and
+answers every escape check from it through robber_component_check.  That
+is sound because the component depends on nothing else, and it pays
+because a cop move never changes the burned mask or the robber's vertex,
+and neither does a robber who stays: most checked states repeat a key.
+The dict gains at most one entry per node in the search's own seen/done
+map, so the node budget bounds it too.
 """
 
 from __future__ import annotations
@@ -158,6 +167,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
     else:
         placements = [_take_cops(g, p) for p in placements]
     nodes = 0
+    components: dict[tuple[int, int], int] = {}
     best: tuple[int, Transcript] | None = None  # (capture half-depth, transcript)
     for cops in placements:
         r0 = fixed.robber_placement(g, cops)
@@ -199,7 +209,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
                     if best is None or depth + 1 < best[0]:
                         best = (depth + 1, tr)
                     continue
-                if not robber_component_check(g, nstate):
+                if not robber_component_check(g, nstate, components):
                     continue  # escaped: the fixed robber wins this branch
                 frontier.append((key, depth + 1))
     if best is None:
@@ -216,6 +226,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
         for r0 in starts:
             check_vertex(g, r0)
     nodes = 0
+    components: dict[tuple[int, int], int] = {}
     # Iterative DFS with an explicit GRAY set: a repeated in-progress node
     # means the robber can loop forever, beating the cop policy.
     done: set = set()
@@ -242,7 +253,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                     done.add(node)
                     stack.pop()
                     continue
-                if not robber_component_check(g, state):
+                if not robber_component_check(g, state, components):
                     tr = _rebuild_transcript(g, init, parent, node)
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)

@@ -3,10 +3,10 @@
 Everything here is exact at desk scale: subset enumeration for the
 domination numbers, literal formula lookup for the families, and the
 constructive initial cop placements for 2xn grids, general grids, and
-tori.  The grid and torus generators assert that their multiset size
-equals the matching upper-bound formula, which guards the construction
-against misreading; the 2xn count is checked against ceil((n+2)/9) by
-the tests.
+tori.  The grid generator checks each of its three parts against the
+count the theorem gives it, which guards the construction against
+misreading; the tests check every placement's size against its
+upper-bound formula, and the 2xn count against ceil((n+2)/9).
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from .graph import Graph, all_distances_from
 
 class BoundsBudgetError(ValueError):
     """Graph too large for exhaustive parameter search."""
+
+
+class PlacementInvariantError(RuntimeError):
+    """A placement construction broke a count its theorem states; a bug here."""
 
 
 MAX_EXHAUSTIVE_VERTICES = 13
@@ -230,8 +234,6 @@ def _torus_placement(m: int, n: int) -> tuple[int, ...]:
         for l in range(2 * _ceil_div(m, 16)):
             if (k + l) % 2 == 1:
                 cops.append(grid_vertex(n, (7 * k) % n, (8 * l) % m))
-    expected = torus_theorem_upper(m, n)
-    assert len(cops) == expected, (len(cops), expected)
     return tuple(sorted(cops))
 
 
@@ -256,7 +258,7 @@ def _grid_placement(m: int, n: int) -> tuple[int, ...]:
     put(n - 1, 1)
     put(n - 1, m - 2)
     border = len(cops)
-    assert border == 2 * (m // 5) + 2 * (n // 5) + 4
+    _check_count("border", border, 2 * (m // 5) + 2 * (n // 5) + 4)
 
     # Central cops: the torus pattern restricted to the grid interior.
     for k in range(2 * (n // 14)):
@@ -264,7 +266,7 @@ def _grid_placement(m: int, n: int) -> tuple[int, ...]:
             if (k + l) % 2 == 1:
                 put(7 * k, 8 * l)
     central = len(cops) - border
-    assert central == 2 * (m // 16) * (n // 14)
+    _check_count("central", central, 2 * (m // 16) * (n // 14))
 
     # Peripheral cops: floor(n/5) along rows m-8 / m-2, floor(m/5) along
     # columns n-2 / n-8, alternating as itemized.
@@ -272,12 +274,13 @@ def _grid_placement(m: int, n: int) -> tuple[int, ...]:
         put(5 * t, m - 8 if t % 2 == 0 else m - 2)
     for t in range(m // 5):
         put(n - 2 if t % 2 == 0 else n - 8, 5 * t)
-    peripheral = len(cops) - border - central
-    assert peripheral == (m // 5) + (n // 5)
-
-    upper = grid_theorem_upper(m, n)
-    assert len(cops) == upper, (len(cops), upper)
+    _check_count("peripheral", len(cops) - border - central, (m // 5) + (n // 5))
     return tuple(sorted(cops))
+
+
+def _check_count(part: str, placed: int, counted: int) -> None:
+    if placed != counted:
+        raise PlacementInvariantError(f"{part} cops: placed {placed}, the theorem counts {counted}")
 
 
 def grid_theorem_upper(m: int, n: int) -> int:

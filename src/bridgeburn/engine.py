@@ -162,13 +162,25 @@ def robber_successors(
     return [apply_robber_move(g, s, y, variant) for y in cop_move_options(g, s.burned, s.robber)]
 
 
-def robber_component_check(g: Graph, s: GameState) -> bool:
+def robber_component_check(
+    g: Graph, s: GameState, components: dict[tuple[int, int], int] | None = None
+) -> bool:
     """True iff some cop still shares the robber's component.
 
     False means the robber has escaped permanently: burning only ever
     splits components further, so no cop can ever reach him again.
+
+    `components` maps (burned, robber) to the robber's component bitmask
+    on g.  A caller checking many states of one game passes the same dict
+    to every call, and each component is computed once; without it the
+    component is computed afresh.
     """
-    comp = component_bitmask(g, s.robber, s.burned)
+    if components is None:
+        components = {}
+    key = (s.burned, s.robber)
+    comp = components.get(key)
+    if comp is None:
+        comp = components[key] = component_bitmask(g, s.robber, s.burned)
     return any(comp >> c & 1 for c in s.cops)
 
 
@@ -357,14 +369,6 @@ class Transcript:
             if records != list(half_turn):
                 raise IllegalMoveError(f"recorded {half_turn}, expected {records}")
         return s
-
-    def robber_move_count(self) -> int:
-        return sum(
-            1
-            for half in self.turns
-            for mv in half
-            if mv.actor == ROBBER and mv.from_vertex != mv.to_vertex
-        )
 
     def to_json_dict(self) -> dict:
         from .graph import to_json_dict

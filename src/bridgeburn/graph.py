@@ -140,62 +140,10 @@ def component_bitmask(g: Graph, v: int, burned: int = 0) -> int:
     return seen
 
 
-def connected_components(g: Graph, burned: int = 0) -> list[int]:
-    """Component bitmasks, one per component, ordered by least vertex."""
-    out = []
-    assigned = 0
-    for v in range(g.vertex_count):
-        if not assigned >> v & 1:
-            comp = component_bitmask(g, v, burned)
-            assigned |= comp
-            out.append(comp)
-    return out
-
-
 def is_connected(g: Graph) -> bool:
     if g.vertex_count <= 1:
         return True
     return component_bitmask(g, 0) == (1 << g.vertex_count) - 1
-
-
-def cut_edges(g: Graph) -> set[int]:
-    """EdgeIds whose removal increases the component count (bridges).
-
-    Iterative Tarjan lowlink over a DFS forest; parallel edges cannot
-    occur in a simple graph, so the parent-edge check suffices.
-    """
-    n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    bridges: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # stack entries: (vertex, incoming edge id, iterator index)
-        stack = [(root, -1, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, in_eid, i = stack.pop()
-            if i < len(g.adjacency[v]):
-                stack.append((v, in_eid, i + 1))
-                w, eid = g.adjacency[v][i]
-                if eid == in_eid:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eid, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            else:
-                if in_eid != -1:
-                    u = next(x for x in g.edges[in_eid] if x != v)
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges.add(in_eid)
-    return bridges
 
 
 def all_degrees_even(g: Graph) -> bool:

@@ -35,6 +35,10 @@ class PolicyApplicabilityError(ValueError):
     """The policy's preconditions do not hold for this graph/placement."""
 
 
+class PolicyStateError(ValueError):
+    """A policy's internal state contradicts the game state it was given."""
+
+
 def _require_family(policy: "Policy", g: Graph, family: str, *params: int) -> FamilySpec:
     """The spec of g's family; PolicyApplicabilityError unless g is exactly it."""
     try:
@@ -172,7 +176,11 @@ class HypercubeMirrorCop(Policy):
                 dest = r  # robber stayed adjacent: step onto him
             else:
                 jbit = diff ^ kbit
-                assert jbit and jbit & (jbit - 1) == 0, "mirror invariant broken"
+                if jbit & (jbit - 1):
+                    raise PolicyStateError(
+                        f"{self.name}: mirror invariant broken, cop {c} and robber {r}"
+                        f" must differ in dimension {mode} and at most one other"
+                    )
                 dest = c ^ jbit
             return (dest,), (mode, visited, r)
 

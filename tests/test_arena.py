@@ -11,6 +11,7 @@ from bridgeburn.strategies import (
     LeafIsolateRobber,
     PlanRobber,
     StationaryCop,
+    make_policy,
 )
 
 
@@ -107,3 +108,17 @@ def test_exhaust_deterministic(fam):
     a = exhaust_vs_policy(g, StalematePolicyRobber(g), k_cops=1)
     b = exhaust_vs_policy(g, StalematePolicyRobber(g), k_cops=1)
     assert (a.outcome, a.nodes_searched) == (b.outcome, b.nodes_searched)
+
+
+@pytest.mark.parametrize(
+    "family,m,n,nodes,half_turns",
+    [("grid", 8, 9, 1881, 26), ("torus", 16, 14, 139, 74)],
+)
+def test_placement_exhaust_answers_pinned(fam, family, m, n, nodes, half_turns):
+    """The placement chasers' exhaustive searches: verdict, nodes searched,
+    escape reason and counterexample length, pinned."""
+    g = fam(family, m, n)
+    v = exhaust_vs_policy(g, make_policy(f"{family}_placement", g, [m, n]))
+    assert (v.outcome, v.nodes_searched) == ("beaten", nodes)
+    assert v.counterexample.outcome.reason == "isolated"
+    assert len(v.counterexample.turns) == half_turns

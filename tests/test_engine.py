@@ -176,5 +176,27 @@ def test_burn_monotone_and_bounded(seed):
     for a, b in zip(masks, masks[1:]):
         assert a & ~b == 0  # non-decreasing
         assert bin(b ^ a).count("1") <= 1  # at most one new bit per half-turn
-    assert transcript.robber_move_count() == bin(masks[-1]).count("1")
-    assert transcript.robber_move_count() <= g.edge_count
+    robber_moves = sum(
+        1
+        for half in transcript.turns
+        for mv in half
+        if mv.actor == ROBBER and mv.from_vertex != mv.to_vertex
+    )
+    assert robber_moves == bin(masks[-1]).count("1")
+    assert robber_moves <= g.edge_count
+
+
+@given(st.integers(0, 200))
+@settings(max_examples=40, deadline=None)
+def test_memoized_component_check_matches_fresh(seed):
+    from bridgeburn.families import FamilySpec, generate
+
+    g = generate(FamilySpec("grid", (3, 4)))
+    transcript, _final, _masks = _random_playout(g, seed, max_rounds=60)
+    components: dict = {}  # one dict for the whole walk
+    s = transcript.initial
+    for half in transcript.turns:
+        s = Transcript(graph=g, initial=s, turns=[half]).replay()
+        fresh = component_bitmask(g, s.robber, s.burned)
+        assert robber_component_check(g, s, components) == any(fresh >> c & 1 for c in s.cops)
+        assert components[s.burned, s.robber] == fresh

@@ -1,7 +1,4 @@
-import itertools
-
 import pytest
-from hypothesis import given, strategies as st
 
 from bridgeburn.graph import (
     UNREACHABLE,
@@ -11,8 +8,6 @@ from bridgeburn.graph import (
     all_degrees_even,
     all_distances_from,
     build_graph,
-    connected_components,
-    cut_edges,
     from_edge_list_text,
     from_json_dict,
     to_edge_list_text,
@@ -57,31 +52,6 @@ def test_bfs_examples(fam):
 def test_bfs_respects_burned_edges(fam):
     g = fam("path", 3)
     assert all_distances_from(g, 0, burned=1 << g.edge_id(0, 1))[2] == UNREACHABLE
-
-
-def brute_force_cut_edges(g):
-    out = set()
-    for eid in range(g.edge_count):
-        if len(connected_components(g, burned=1 << eid)) > len(connected_components(g)):
-            out.add(eid)
-    return out
-
-
-def test_cut_edges_examples(fam):
-    p3 = fam("path", 3)
-    assert cut_edges(p3) == {0, 1}
-    assert cut_edges(fam("cycle", 4)) == set()
-    st_graph = fam("stalemate")
-    expected = {st_graph.edge_id(1, 4), st_graph.edge_id(3, 5)}
-    assert cut_edges(st_graph) == brute_force_cut_edges(st_graph) == expected
-
-
-@given(st.integers(1, 7), st.data())
-def test_cut_edges_match_brute_force(n, data):
-    pairs = list(itertools.combinations(range(n), 2))
-    mask = data.draw(st.integers(0, (1 << len(pairs)) - 1))
-    g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-    assert cut_edges(g) == brute_force_cut_edges(g)
 
 
 def test_all_degrees_even(fam):

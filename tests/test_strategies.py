@@ -28,6 +28,7 @@ from bridgeburn.strategies import (
     LeafIsolateRobber,
     PlanRobber,
     PolicyApplicabilityError,
+    PolicyStateError,
     StalematePolicyRobber,
     StationaryCop,
     make_policy,
@@ -171,6 +172,14 @@ def test_mirror_rejects_relabeled_hypercube(fam):
     g = build_graph(8, [(perm[u], perm[v]) for (u, v) in fam("hypercube", 3).edges])
     with pytest.raises(PolicyApplicabilityError):
         HypercubeMirrorCop(g)
+
+
+def test_mirror_rejects_inconsistent_pstate(fam):
+    # Mirroring on dimension 2 needs cop and robber to differ in it and in
+    # one more; cop 0 and robber 3 differ in dimensions 0 and 1 only.
+    g = fam("hypercube", 3)
+    with pytest.raises(PolicyStateError, match="mirror invariant"):
+        HypercubeMirrorCop(g).choose(g, GameState(0, (0,), 3, COP_TURN), (2, 3, 3))
 
 
 def test_mirror_accepts_q0():
