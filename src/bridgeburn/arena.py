@@ -5,7 +5,8 @@ transcript.  exhaust_vs_policy pins one side to a policy and searches
 every move (and optionally every placement) of the free side:
 
 * fixed cop: the product system is a one-robber-chooser graph, so the
-  policy is beaten iff an escape or a repeatable position is reachable;
+  policy is beaten iff an escape or a repeatable position is reachable
+  (that counterexample ends with the half-turn back into the loop);
 * fixed robber: the cop chooses, so the policy is beaten iff any capture
   is reachable, and breadth-first order yields an earliest-capture
   counterexample transcript.
@@ -15,7 +16,9 @@ memoization sound for stateful policies.
 
 The arena holds no rules of its own: every move, a policy's or the free
 side's, is applied by the engine's apply_cop_moves / apply_robber_move,
-and the free side's candidates come from cop_move_options.  Every
+and the free side's candidates come from cop_move_options.  A robber
+policy's `robber_start` gives its start vertex and initial state in one
+call per play, so nothing a placement decides outlives that play.  Every
 placement is checked against the graph before play from it starts:
 free-side placements before the search, a cop policy's cops before the
 robber policy sees them, then the robber's vertex.
@@ -110,7 +113,7 @@ def run_match(
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     cops = _take_cops(g, cop.cop_placement(g))
-    r0 = robber.robber_placement(g, cops)
+    r0, rob_ps = robber.robber_start(g, cops)
     check_vertex(g, r0)
     state = GameState(0, cops, r0, COP_TURN)
     t = Transcript(graph=g, initial=state)
@@ -118,7 +121,6 @@ def run_match(
         t.outcome = Outcome("cop_win", round=0)
         return t
     cop_ps = cop.initial_pstate(g, cops, r0)
-    rob_ps = robber.initial_pstate(g, cops, r0)
     for rnd in range(1, max_rounds + 1):
         move, cop_ps = cop.choose(g, state, cop_ps)
         state, records = _policy_move(cop, apply_cop_moves, g, state, move)
@@ -156,6 +158,8 @@ def exhaust_vs_policy(
     pinned).  The verdict's counterexample is the earliest loss by round
     (fixed robber) or the first refutation in search order (fixed cop).
     """
+    if k_cops < 1:
+        raise ValueError(f"k_cops must be at least 1, got {k_cops}")
     if fixed.side == "robber":
         return _exhaust_cops_vs_robber(g, fixed, free_side_placements, k_cops, budget)
     return _exhaust_robbers_vs_cop(g, fixed, free_side_placements, budget)
@@ -170,10 +174,9 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
     components: dict[tuple[int, int], int] = {}
     best: tuple[int, Transcript] | None = None  # (capture half-depth, transcript)
     for cops in placements:
-        r0 = fixed.robber_placement(g, cops)
+        r0, ps0 = fixed.robber_start(g, cops)
         check_vertex(g, r0)
         init = GameState(0, cops, r0, COP_TURN)
-        ps0 = fixed.initial_pstate(g, cops, r0)
         if is_capture(init):
             tr = Transcript(graph=g, initial=init, outcome=Outcome("cop_win", round=0))
             return Verdict("beaten", nodes + 1, tr)
@@ -268,8 +271,9 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                 stack.pop()
                 continue
             if child in gray:
-                parent.setdefault(child, (node, records))
-                tr = _rebuild_transcript(g, init, parent, child)
+                # child is on the path to node: close the loop back to it
+                tr = _rebuild_transcript(g, init, parent, node)
+                tr.turns.append(records)
                 tr.outcome = Outcome("robber_escape", reason="repeatable position")
                 return Verdict("beaten", nodes, tr)
             if child not in done:

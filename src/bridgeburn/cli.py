@@ -70,6 +70,14 @@ def _family_spec(args) -> FamilySpec:
     return FamilySpec(args.family, tuple(params))
 
 
+def positive_int(text: str) -> int:
+    """argparse type of every count and budget: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(args, obj: dict, pretty_lines=None) -> None:
     if getattr(args, "pretty", False) and pretty_lines is not None:
         for line in pretty_lines:
@@ -86,7 +94,7 @@ def _add_common(p, family=True, budget=False):
     p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.add_argument("--pretty", action="store_true", help="human-readable output")
     if budget:
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
                        help="explored-state cap, in quotient states (default 10^7)")
 
 
@@ -100,12 +108,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide the game for k cops")
     _add_common(p, budget=True)
-    p.add_argument("--cops", type=int, required=True)
+    p.add_argument("--cops", type=positive_int, required=True)
     p.add_argument("--variant", choices=["bb", "classic"], default="bb")
 
     p = sub.add_parser("copnumber", help="least k cops that win")
     _add_common(p, budget=True)
-    p.add_argument("--max-k", type=int, default=8)
+    p.add_argument("--max-k", type=positive_int, default=8)
     p.add_argument("--variant", choices=["bb", "classic"], default="bb")
 
     p = sub.add_parser("capture-time", help="capt_b for a c_b = 1 graph")
@@ -133,7 +141,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exhaust", help="validate one policy against all play")
     _add_common(p, budget=True)
     p.add_argument("--fixed", required=True, help="pinned policy NAME[:p1,p2,...]")
-    p.add_argument("--k-cops", type=int, default=1,
+    p.add_argument("--k-cops", type=positive_int, default=1,
                    help="free-side cop count when the robber is pinned")
 
     p = sub.add_parser("policies", help="list policy names")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, component_bitmask
 
@@ -48,10 +48,6 @@ class GameState(NamedTuple):
 
     def canonical(self) -> "GameState":
         return self._replace(cops=tuple(sorted(self.cops)))
-
-
-def make_state(burned: int, cops: Iterable[int], robber: int, phase: int) -> GameState:
-    return GameState(burned, tuple(sorted(cops)), robber, phase)
 
 
 class MoveRecord(NamedTuple):

@@ -3,10 +3,10 @@
 A policy is deterministic: given the graph, the current state, and its own
 internal state it returns exactly one move for its side.  In-game state
 is explicit and hashable so exhaustive validation can memoize on
-(game state, policy state) pairs.  `LeafIsolateRobber`,
-`Degree4IsolateRobber` and `EulerianStallRobber` also fix per-placement
-setup on the instance in `robber_placement`, which is sound because the
-exhaustive searches run one placement at a time.
+(game state, policy state) pairs.  Whatever a placement decides, such as
+a scripted robber's walk, goes into that state: no policy method but
+`__init__` assigns to the instance, so one instance serves any number of
+plays.
 
 Cop policies return a tuple of destination vertices aligned with the
 sorted cop multiset; robber policies return a single destination vertex.
@@ -17,6 +17,7 @@ A policy written for one family raises `PolicyApplicabilityError` unless
 from __future__ import annotations
 
 import inspect
+from functools import partial
 from typing import Hashable
 
 from .bounds import placement_generators
@@ -51,17 +52,22 @@ def _require_family(policy: "Policy", g: Graph, family: str, *params: int) -> Fa
 
 
 class Policy:
+    """A cop side places with `cop_placement` and starts its state with
+    `initial_pstate`; a robber side does both in `robber_start`, after
+    seeing the cops."""
+
     side: str  # "cop" | "robber"
     name: str
 
     def cop_placement(self, g: Graph) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def robber_placement(self, g: Graph, cops: tuple[int, ...]) -> int:
-        raise NotImplementedError
-
     def initial_pstate(self, g: Graph, cops: tuple[int, ...], robber: int) -> Hashable:
         return None
+
+    def robber_start(self, g: Graph, cops: tuple[int, ...]) -> tuple[int, Hashable]:
+        """Return (start vertex, initial pstate) against the placed cops."""
+        raise NotImplementedError
 
     def choose(self, g: Graph, state: GameState, pstate: Hashable):
         """Return (move, new_pstate)."""
@@ -79,6 +85,13 @@ def _greedy_step(g: Graph, burned: int, frm: int, dist: list[int]) -> int:
         if 0 <= dist[y] < best_d:
             best, best_d = y, dist[y]
     return best
+
+
+def _follow(g: Graph, state: GameState, walk: tuple[int, ...]):
+    """(move, rest of walk): the walk's next step if its edge is open, else stay."""
+    if walk and walk[0] in cop_move_options(g, state.burned, state.robber):
+        return walk[0], walk[1:]
+    return state.robber, walk
 
 
 # --- cop policies -------------------------------------------------------------
@@ -271,11 +284,11 @@ class FarthestRobber(Policy):
                 best = d
         return g.vertex_count + 1 if best is None else best
 
-    def robber_placement(self, g, cops):
+    def robber_start(self, g, cops):
         choices = [v for v in range(g.vertex_count) if v not in cops]
         if not choices:
-            return 0
-        return max(choices, key=lambda v: (self._score(g, 0, v, cops), -v))
+            return 0, None
+        return max(choices, key=lambda v: (self._score(g, 0, v, cops), -v)), None
 
     def choose(self, g, state, pstate):
         best = max(
@@ -290,7 +303,7 @@ class FarthestRobber(Policy):
 
 class PlanRobber(Policy):
     """Follows a fixed walk, then stays put.  Building block for the
-    scripted isolation sequences."""
+    scripted isolation sequences; the state is the rest of the walk."""
 
     side = "robber"
     name = "plan"
@@ -304,24 +317,16 @@ class PlanRobber(Policy):
         self.start = start
         self.walk = tuple(walk)
 
-    def robber_placement(self, g, cops):
-        return self.start
-
-    def initial_pstate(self, g, cops, robber):
-        return 0
+    def robber_start(self, g, cops):
+        return self.start, self.walk
 
     def choose(self, g, state, pstate):
-        step = pstate
-        if step >= len(self.walk):
-            return state.robber, pstate
-        dest = self.walk[step]
-        if dest not in cop_move_options(g, state.burned, state.robber):
-            return state.robber, pstate  # plan edge gone; freeze in place
-        return dest, step + 1
+        return _follow(g, state, pstate)
 
 
-class LeafIsolateRobber(Policy):
-    """Start beside an unguarded leaf and step onto it."""
+class LeafIsolateRobber(PlanRobber):
+    """Start beside an unguarded leaf and step onto it: a plan whose start
+    and one-step walk are chosen per placement."""
 
     side = "robber"
     name = "leaf_isolate"
@@ -330,9 +335,8 @@ class LeafIsolateRobber(Policy):
         if leaf is not None and not 0 <= leaf < g.vertex_count:
             raise PolicyApplicabilityError(f"leaf {leaf} is not a vertex")
         self.requested_leaf = leaf
-        self.leaf: int | None = None
 
-    def robber_placement(self, g, cops):
+    def robber_start(self, g, cops):
         if self.requested_leaf is not None:
             candidates = [self.requested_leaf]
         else:
@@ -342,17 +346,8 @@ class LeafIsolateRobber(Policy):
                 continue
             dist = all_distances_from(g, leaf)
             if all(dist[c] > 2 for c in cops):
-                self.leaf = leaf
-                return g.neighbors(leaf)[0]
+                return g.neighbors(leaf)[0], (leaf,)
         raise PolicyApplicabilityError("no unguarded leaf for this cop placement")
-
-    def initial_pstate(self, g, cops, robber):
-        return 0
-
-    def choose(self, g, state, pstate):
-        if pstate == 0 and state.robber != self.leaf:
-            return self.leaf, 1
-        return state.robber, pstate
 
 
 class CornerIsolateRobber(PlanRobber):
@@ -416,6 +411,13 @@ class Degree4IsolateRobber(Policy):
     With no cop within distance 9 the loop is fixed; with exactly one cop
     within 9 (but none within 5) the second half is chosen live, circling
     through whichever neighbor the nearby cop cannot reach in 3 steps.
+
+    On a torus that cop must also be more than 7 away the other way
+    round; from (+1, +5) on the 11x11 torus, say, it catches the loop.
+    exhaust_vs_policy checked every single cop at distance 6-9 from the
+    middle vertex of the 11x11 to 16x16 square tori, the 11x13, 13x11 and
+    12x15 tori, and the 11x11, 12x12, 13x13 and 14x13 grids: the policy
+    wins every placement it accepts.
     """
 
     side = "robber"
@@ -429,19 +431,13 @@ class Degree4IsolateRobber(Policy):
         if not (0 <= self.ci < n and 0 <= self.cj < m) or g.degree(v) != 4:
             raise PolicyApplicabilityError("center must have degree 4")
         self.v = v
-        self.sx = 1
-        self.sy = 1
 
-    def _at(self, a: int, b: int) -> int:
-        i, j = self.ci + self.sx * a, self.cj + self.sy * b
-        if self.wrap:
-            i %= self.n
-            j %= self.m
-        if not (0 <= i < self.n and 0 <= j < self.m):
-            raise PolicyApplicabilityError("isolation loop leaves the grid")
-        return grid_vertex(self.n, i, j)
+    def _at(self, sx: int, sy: int, a: int, b: int) -> int:
+        # Wraps round a torus; on a grid the center is interior, so the
+        # loop one step around it never needs to.
+        return grid_vertex(self.n, (self.ci + sx * a) % self.n, (self.cj + sy * b) % self.m)
 
-    def robber_placement(self, g, cops):
+    def robber_start(self, g, cops):
         dist = all_distances_from(g, self.v)
         near5 = [c for c in cops if dist[c] <= 5]
         near9 = [c for c in cops if dist[c] <= 9]
@@ -449,68 +445,45 @@ class Degree4IsolateRobber(Policy):
             raise PolicyApplicabilityError(
                 "needs no cop within distance 5 and at most one within 9"
             )
-        if near9:
-            self._orient_away_from(near9[0])
-            self.adaptive = True
-        else:
-            self.adaptive = False
-        return self.v
-
-    def _orient_away_from(self, cop: int) -> None:
-        # Flip axes so the nearby cop sits weakly left of and above the center.
-        i, j = grid_coords(self.n, cop)
+        if not near9:
+            at = partial(self._at, 1, 1)
+            # the fixed figure: right, up, left, down, then left, down, right, up
+            return self.v, (at(1, 0), at(1, -1), at(0, -1), at(0, 0),
+                            at(-1, 0), at(-1, 1), at(0, 1), at(0, 0))
+        i, j = grid_coords(self.n, near9[0])
         dx, dy = i - self.ci, j - self.cj
         if self.wrap:
-            if dx > self.n // 2:
-                dx -= self.n
-            if dx < -(self.n // 2):
-                dx += self.n
-            if dy > self.m // 2:
-                dy -= self.m
-            if dy < -(self.m // 2):
-                dy += self.m
-        self.sx = 1 if dx <= 0 else -1
-        self.sy = 1 if dy <= 0 else -1
-
-    def initial_pstate(self, g, cops, robber):
-        return (0, 0)  # (step, chosen second-half variant)
-
-    def _first_half(self) -> list[int]:
-        if self.adaptive:
-            # up, left, down, right around the center
-            return [self._at(0, -1), self._at(-1, -1), self._at(-1, 0), self._at(0, 0)]
-        # the fixed figure: right, up, left, down
-        return [self._at(1, 0), self._at(1, -1), self._at(0, -1), self._at(0, 0)]
-
-    def _second_half(self, variant: int) -> list[int]:
-        if not self.adaptive:
-            # left, down, right, up
-            return [self._at(-1, 0), self._at(-1, 1), self._at(0, 1), self._at(0, 0)]
-        if variant == 1:  # through (i+1, j) first; (i, j+1) is uncovered
-            return [self._at(1, 0), self._at(1, 1), self._at(0, 1), self._at(0, 0)]
-        return [self._at(0, 1), self._at(1, 1), self._at(1, 0), self._at(0, 0)]
+            dx, dy = _shorter_way(dx, self.n), _shorter_way(dy, self.m)
+            if min(self.n - abs(dx) + abs(dy), abs(dx) + self.m - abs(dy)) <= 7:
+                raise PolicyApplicabilityError("the nearby cop is within 7 the other way round")
+        # Flip axes so the nearby cop sits weakly left of and above the center.
+        at = partial(self._at, 1 if dx <= 0 else -1, 1 if dy <= 0 else -1)
+        right_first = (at(1, 0), at(1, 1), at(0, 1), at(0, 0))
+        down_first = (at(0, 1), at(1, 1), at(1, 0), at(0, 0))
+        # up, left, down, right around the center, then one of two halves
+        return self.v, (at(0, -1), at(-1, -1), at(-1, 0), at(0, 0), (right_first, down_first))
 
     def choose(self, g, state, pstate):
-        step, variant = pstate
-        if step < 4:
-            dest = self._first_half()[step]
-            return dest, (step + 1, variant)
-        if step == 4 and self.adaptive and variant == 0:
-            down, right = self._at(0, 1), self._at(1, 0)
+        if pstate and isinstance(pstate[0], tuple):
+            right_first, down_first = pstate[0]
 
             def nearest(target):
                 dist = all_distances_from(g, target, state.burned)
-                ds = [dist[c] for c in state.cops if dist[c] >= 0]
-                return min(ds) if ds else 1 << 30
+                return min((dist[c] for c in state.cops if dist[c] >= 0), default=1 << 30)
 
             # circle through the side no cop can cover within 3 steps
-            variant = 1 if nearest(down) > 3 else 2 if nearest(right) > 3 else 1
-        if step < 8:
-            dest = self._second_half(variant)[step - 4]
-            if dest not in cop_move_options(g, state.burned, state.robber):
-                return state.robber, (step, variant)
-            return dest, (step + 1, variant)
-        return state.robber, pstate
+            down, right = right_first[2], down_first[2]
+            pstate = down_first if nearest(down) <= 3 < nearest(right) else right_first
+        return _follow(g, state, pstate)
+
+
+def _shorter_way(d: int, size: int) -> int:
+    """The offset d round a cycle of `size`, taken the shorter way."""
+    if d > size // 2:
+        return d - size
+    if d < -(size // 2):
+        return d + size
+    return d
 
 
 class EulerianStallRobber(Policy):
@@ -535,67 +508,64 @@ class EulerianStallRobber(Policy):
         for i, block in enumerate(self.blocks):
             for s in block:
                 self.block_of[s] = i
+        # The stall circuit starts in block 0, or in block 1 when the cop is v_0.
+        allowed = set().union(*map(set, self.blocks))
+        self.circuits = tuple(
+            tuple(_eulerian_circuit(g, self.blocks[j][0], allowed)) for j in (0, 1)
+        )
 
-    def robber_placement(self, g, cops):
+    def robber_start(self, g, cops):
+        # pstate (mode, circuit index, circuit position); modes: 0 stall,
+        # 2 escape->u, 3 done/pendant
         if len(cops) != 1:
             raise PolicyApplicabilityError("eulerian_stall plays against one cop")
         cop = cops[0]
         if cop not in self.vs:
             for vj in self.vs:
                 if vj != cop and not g.has_edge(vj, cop):
-                    self.mode0 = "pendant"
-                    self.circuit: tuple[int, ...] = ()
-                    return vj
+                    return vj, (3, 0, 0)
             raise AssertionError("some clique vertex always avoids an off-clique cop")
-        j = min(i for i in range(self.k) if i != cop)
-        start = self.blocks[j][0]
-        self.mode0 = "stall"
-        self.circuit = tuple(_eulerian_circuit(g, start, set().union(*map(set, self.blocks))))
-        return start
-
-    def initial_pstate(self, g, cops, robber):
-        # (mode, circuit position); modes: 0 stall, 2 escape->u, 3 done/pendant
-        return (3, 0) if self.mode0 == "pendant" else (0, 0)
+        index = 1 if cop == self.vs[0] else 0
+        return self.circuits[index][0], (0, index, 0)
 
     def choose(self, g, state, pstate):
-        mode, pos = pstate
+        mode, index, pos = pstate
         r, cop, burned = state.robber, state.cops[0], state.burned
         if mode == 3:
             if r in self.vs:  # pendant dash: v_j -> u_j
                 uj = self.us[self.vs.index(r)]
                 if uj in cop_move_options(g, burned, r):
-                    return uj, (3, pos)
-            return r, (3, pos)
+                    return uj, pstate
+            return r, pstate
         if mode == 2:
             if r in self.vs:
                 uj = self.us[self.vs.index(r)]
                 if uj in cop_move_options(g, burned, r) and cop != uj:
-                    return uj, (3, pos)
-            return r, (3, pos)
+                    return uj, (3, index, pos)
+            return r, (3, index, pos)
         # stall mode
         t = self.block_of[r]
         vt = self.vs[t]
         if cop in self.vs:
             if cop == vt:  # adjacent through the gateway: forced along the circuit
-                nxt = self._advance(burned, r, pos)
+                nxt = self._advance(r, index, pos)
                 if nxt is not None:
                     return nxt
-                return r, (0, pos)  # circuit exhausted: await capture
-            return r, (0, pos)
+            return r, pstate  # circuit exhausted, or the cop is elsewhere: wait
         # cop strayed off the clique
         d_vt = all_distances_from(g, cop, burned)[vt]
         if (d_vt < 0 or d_vt >= 2) and vt in cop_move_options(g, burned, r):
-            return vt, (2, pos)
+            return vt, (2, index, pos)
         if cop != r and r in cop_move_options(g, burned, cop):
-            nxt = self._advance(burned, r, pos)
+            nxt = self._advance(r, index, pos)
             if nxt is not None and nxt[0] != cop:
                 return nxt
-        return r, (0, pos)
+        return r, pstate
 
-    def _advance(self, burned, r, pos):
-        if pos + 1 < len(self.circuit) and self.circuit[pos] == r:
-            nxt = self.circuit[pos + 1]
-            return (nxt, (0, pos + 1))
+    def _advance(self, r, index, pos):
+        circuit = self.circuits[index]
+        if pos + 1 < len(circuit) and circuit[pos] == r:
+            return circuit[pos + 1], (0, index, pos + 1)
         return None
 
 
@@ -640,15 +610,15 @@ class StalematePolicyRobber(Policy):
     def __init__(self, g: Graph):
         _require_family(self, g, "stalemate")
 
-    def robber_placement(self, g, cops):
+    def robber_start(self, g, cops):
         if len(cops) != 1:
             raise PolicyApplicabilityError("stalemate_policy plays against one cop")
         c = cops[0]
         if c in (self.V, self.Y):
-            return self.X
+            return self.X, None
         if c in (self.X, self.Z):
-            return self.V
-        return self.W if c == self.U else self.U
+            return self.V, None
+        return (self.W if c == self.U else self.U), None
 
     def choose(self, g, state, pstate):
         r, c = state.robber, state.cops[0]

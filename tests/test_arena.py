@@ -1,6 +1,7 @@
 import pytest
 
 from bridgeburn.arena import exhaust_vs_policy, run_match
+from bridgeburn.engine import Transcript
 from bridgeburn.families import FamilySpec, generate
 from bridgeburn.solver import BudgetExceeded
 from bridgeburn.strategies import (
@@ -36,8 +37,8 @@ def test_robber_placement_on_cop_is_round_zero_capture(fam):
     g = fam("path", 3)
 
     class Suicidal(PlanRobber):
-        def robber_placement(self, g, cops):
-            return cops[0]
+        def robber_start(self, g, cops):
+            return cops[0], ()
 
     tr = run_match(g, StationaryCop(g, (1,)), Suicidal(g, 1, []))
     assert tr.outcome.kind == "cop_win" and tr.outcome.round == 0
@@ -47,8 +48,8 @@ def test_robber_placement_off_the_graph_is_rejected(fam):
     g = fam("path", 3)
 
     class Astray(PlanRobber):
-        def robber_placement(self, g, cops):
-            return 7
+        def robber_start(self, g, cops):
+            return 7, ()
 
     with pytest.raises(ValueError, match="vertex 7 "):
         run_match(g, StationaryCop(g, (1,)), Astray(g, 1, []))
@@ -92,6 +93,25 @@ def test_exhaust_cop_side_counterexample_replays(fam):
     tr = v.counterexample
     assert tr.outcome.kind == "robber_escape"
     tr.replay()
+
+
+def test_exhaust_repeatable_position_counterexample_closes_the_loop(fam):
+    g = fam("cycle", 6)
+    v = exhaust_vs_policy(g, StationaryCop(g, (0,)))
+    tr = v.counterexample
+    assert (v.outcome, tr.outcome.reason) == ("beaten", "repeatable position")
+    assert len(tr.turns) == 2  # the cop stays on 0, the robber stays on 1
+    earlier = [
+        Transcript(graph=g, initial=tr.initial, turns=tr.turns[:i]).replay()
+        for i in range(len(tr.turns))
+    ]
+    assert tr.replay() in earlier
+
+
+def test_exhaust_rejects_k_cops_below_one(fam):
+    g = fam("path", 6)
+    with pytest.raises(ValueError, match="k_cops"):
+        exhaust_vs_policy(g, FarthestRobber(), k_cops=0)
 
 
 def test_exhaust_placement_restriction(fam):

@@ -111,6 +111,11 @@ def test_torus_formula_16_14():
     assert (res.lower, res.upper, res.exact) == (2, 2, 2)
 
 
+def test_grid_formula_without_exact_value():
+    res = family_formula(FamilySpec("grid", (3, 4)))
+    assert (res.lower, res.upper, res.exact) == (1, 4, None)
+
+
 def test_torus_formula_open_gap():
     res = family_formula(FamilySpec("torus", (40, 40)))
     assert res.exact is None

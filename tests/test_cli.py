@@ -76,6 +76,38 @@ def test_exit_budget(capsys):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+def test_copnumber_reports_exceeding_max_k(capsys):
+    code, out = run(capsys, "copnumber", "--family", "path", "--params", "6", "--max-k", "1")
+    obj = json.loads(out)
+    assert code == 0
+    assert (obj["cb"], obj["exceeds"]) == (None, 1)
+
+
+def test_capture_time_complete(capsys):
+    code, out = run(capsys, "capture-time", "--family", "complete", "--params", "4")
+    obj = json.loads(out)
+    assert code == 0
+    assert (obj["captureTimeRounds"], obj["placement"]) == (1, [0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--family", "path", "--params", "4", "--cops", "1", "--budget", "-5"],
+        ["exhaust", "--family", "path", "--params", "6", "--fixed", "leaf_isolate",
+         "--budget", "-1"],
+        ["copnumber", "--family", "path", "--params", "4", "--max-k", "-3"],
+        ["exhaust", "--family", "path", "--params", "6", "--fixed", "farthest", "--k-cops", "0"],
+        ["exhaust", "--family", "path", "--params", "6", "--fixed", "farthest", "--k-cops", "-1"],
+    ],
+)
+def test_counts_and_budgets_below_one_are_input_errors(capsys, argv):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
 def test_tree_trace(capsys):
     code, out = run(capsys, "tree", "--family", "path", "--params", "6", "--root", "0")
     obj = json.loads(out)

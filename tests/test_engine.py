@@ -12,9 +12,9 @@ from bridgeburn.engine import (
     MoveRecord,
     PhaseError,
     Transcript,
+    apply_cop_moves,
     cop_successors,
     is_capture,
-    make_state,
     robber_component_check,
     robber_successors,
 )
@@ -48,6 +48,19 @@ def test_phase_errors(fam):
         cop_successors(g, GameState(0, (0,), 2, ROBBER_TURN))
     with pytest.raises(PhaseError):
         robber_successors(g, GameState(0, (0,), 2, COP_TURN))
+
+
+def test_apply_cop_moves_rejects_illegal_half_turns(fam):
+    g = fam("path", 3)
+    with pytest.raises(PhaseError):
+        apply_cop_moves(g, GameState(0, (0,), 2, ROBBER_TURN), (1,))
+    with pytest.raises(IllegalMoveError, match="already caught"):
+        apply_cop_moves(g, GameState(0, (1,), 1, COP_TURN), (0,))
+    with pytest.raises(IllegalMoveError, match="2 moves for 1 cops"):
+        apply_cop_moves(g, GameState(0, (0,), 2, COP_TURN), (0, 1))
+    burned = 1 << g.edge_id(0, 1)
+    with pytest.raises(IllegalMoveError, match="burned edge"):
+        apply_cop_moves(g, GameState(burned, (0,), 2, COP_TURN), (1,))
 
 
 def test_robber_move_burns_and_isolates(fam):
@@ -84,9 +97,9 @@ def test_classic_variant_does_not_burn(fam):
 
 
 def test_is_capture():
-    assert is_capture(make_state(0, (2, 5), 5, COP_TURN))
-    assert not is_capture(make_state(0, (2,), 3, COP_TURN))
-    assert is_capture(make_state(0, (4, 4), 4, ROBBER_TURN))
+    assert is_capture(GameState(0, (2, 5), 5, COP_TURN))
+    assert not is_capture(GameState(0, (2,), 3, COP_TURN))
+    assert is_capture(GameState(0, (4, 4), 4, ROBBER_TURN))
 
 
 def test_stalemate_escape_via_z(fam):
@@ -112,7 +125,7 @@ def _random_playout(g, seed, max_rounds=30):
     rnd = random.Random(seed)
     cops = tuple(sorted(rnd.choice(range(g.vertex_count)) for _ in range(2)))
     robber = rnd.choice([v for v in range(g.vertex_count) if v not in cops] or [0])
-    state = make_state(0, cops, robber, COP_TURN)
+    state = GameState(0, cops, robber, COP_TURN)
     t = Transcript(graph=g, initial=state)
     masks = [state.burned]
     for _ in range(max_rounds):
@@ -123,7 +136,7 @@ def _random_playout(g, seed, max_rounds=30):
             t.turns.append(
                 [MoveRecord(i, f, d) for i, (f, d) in enumerate(zip(state.cops, dests))]
             )
-            state = make_state(state.burned, dests, state.robber, ROBBER_TURN)
+            state = GameState(state.burned, tuple(sorted(dests)), state.robber, ROBBER_TURN)
         else:
             nxt, mv = rnd.choice(robber_successors(g, state))
             t.turns.append([mv])

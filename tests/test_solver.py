@@ -236,6 +236,10 @@ def test_strategy_walk_beats_every_robber_reply(fam):
     assert masked
 
 
+def test_strategy_extraction_is_none_when_the_robber_wins(fam):
+    assert extract_strategy(fam("path", 6), GameState(0, (0,), 3, COP_TURN)) is None
+
+
 def test_strategy_extraction_stops_at_the_roots_horizon(fam):
     # A 1-round capture: the fully expanded space has 221,791 states.
     g = fam("complete", 6)

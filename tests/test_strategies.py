@@ -1,4 +1,7 @@
+import ast
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -11,10 +14,9 @@ from bridgeburn.engine import (
     apply_robber_move,
     cop_move_options,
     is_capture,
-    make_state,
 )
 from bridgeburn.families import FamilySpec, generate
-from bridgeburn.graph import build_graph
+from bridgeburn.graph import all_distances_from, build_graph
 from bridgeburn.grid2xn import Grid2xnCopTeam
 from bridgeburn.strategies import (
     CornerIsolateRobber,
@@ -27,6 +29,7 @@ from bridgeburn.strategies import (
     HypercubeMirrorCop,
     LeafIsolateRobber,
     PlanRobber,
+    Policy,
     PolicyApplicabilityError,
     PolicyStateError,
     StalematePolicyRobber,
@@ -304,9 +307,8 @@ def test_degree4_runs_figure_loop(fam):
     g = fam("torus", 11, 11)
     pol = Degree4IsolateRobber(g, 11, 11, (5, 5), wrap=True)
     cops = (0,)  # distance 10 from (5,5): no cop within 9
-    start = pol.robber_placement(g, cops)
+    start, ps = pol.robber_start(g, cops)
     assert start == 5 * 11 + 5
-    ps = pol.initial_pstate(g, cops, start)
     at = lambda i, j: (j % 11) * 11 + (i % 11)  # noqa: E731
     expected = [
         at(6, 5), at(6, 4), at(5, 4), at(5, 5),  # right, up, left, down
@@ -327,13 +329,95 @@ def test_degree4_applicability_distance(fam):
     g = fam("torus", 11, 11)
     pol = Degree4IsolateRobber(g, 11, 11, (5, 5), wrap=True)
     with pytest.raises(PolicyApplicabilityError):
-        pol.robber_placement(g, (5 * 11 + 7,))  # cop within distance 5
+        pol.robber_start(g, (5 * 11 + 7,))  # cop within distance 5
+
+
+def test_degree4_reused_across_placements_plays_the_same(fam):
+    g = fam("torus", 11, 11)
+    pol = Degree4IsolateRobber(g, 11, 11, (5, 5), wrap=True)
+
+    def walk(cop):
+        tr = run_match(g, StationaryCop(g, (cop,)), pol)
+        return [t[0].to_vertex for t in tr.turns[1::2]]
+
+    first = walk(0)
+    assert first == [61, 50, 49, 60, 59, 70, 71, 60]
+    walk(107)  # one cop at offset (+3, +4): the oriented, adaptive loop
+    assert walk(0) == first
+
+
+@pytest.mark.parametrize("family,rejected", [
+    # offsets (+-1, +-5) and (+-5, +-1): 7 away the other way round
+    ("torus", {4, 6, 44, 54, 66, 76, 114, 116}),
+    ("grid", set()),
+])
+def test_degree4_one_nearby_cop(fam, family, rejected):
+    """Every single cop at distance 6-9: the policy rejects it or wins."""
+    g = fam(family, 11, 11)
+    pol = Degree4IsolateRobber(g, 11, 11, (5, 5), wrap=family == "torus")
+    dist = all_distances_from(g, 5 * 11 + 5)
+    refused = set()
+    for cop in range(g.vertex_count):
+        if not 6 <= dist[cop] <= 9:
+            continue
+        try:
+            verdict = exhaust_vs_policy(g, pol, [(cop,)])
+        except PolicyApplicabilityError:
+            refused.add(cop)
+            continue
+        assert verdict.wins_always, cop
+    assert refused == rejected
+
+
+def _policy_classes(cls=Policy):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("bridgeburn."):
+            yield sub
+        yield from _policy_classes(sub)
+
+
+def _assigns_to_self(fn: ast.FunctionDef) -> bool:
+    self_name = fn.args.args[0].arg
+
+    def on_self(t):
+        while isinstance(t, (ast.Attribute, ast.Subscript)):
+            if isinstance(t.value, ast.Name) and t.value.id == self_name:
+                return True
+            t = t.value
+        if isinstance(t, (ast.Tuple, ast.List)):
+            return any(on_self(e) for e in t.elts)
+        return isinstance(t, ast.Starred) and on_self(t.value)
+
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and any(on_self(t) for t in node.targets):
+            return True
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)) and on_self(node.target):
+            return True
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+            return True
+    return False
+
+
+def test_policies_assign_to_self_only_in_init():
+    """A placement's choices live in the policy state, so one instance
+    can serve any number of plays."""
+    import bridgeburn.grid2xn  # noqa: F401  (registers its policy class)
+
+    offenders = []
+    for cls in _policy_classes():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        for fn in tree.body[0].body:
+            if isinstance(fn, ast.FunctionDef) and fn.name != "__init__" and fn.args.args:
+                if _assigns_to_self(fn):
+                    offenders.append(f"{cls.__name__}.{fn.name}")
+    assert len(list(_policy_classes())) >= 15
+    assert offenders == []
 
 
 def test_eulerian_stall_pendant_escape(fam):
     g = fam("capture_family", 2, 2)
     pol = EulerianStallRobber(g, 2, 2)
-    start = pol.robber_placement(g, (6,))  # cop inside a partite block
+    start, _ = pol.robber_start(g, (6,))  # cop inside a partite block
     assert start in (0, 1)
     tr = run_match(g, StationaryCop(g, (6,)), EulerianStallRobber(g, 2, 2))
     assert tr.outcome.kind == "robber_escape"
@@ -391,7 +475,7 @@ def test_cop_policies_emit_legal_moves(fam, seed):
         cops = tuple(sorted(pol.cop_placement(g)))
         starts = [v for v in range(g.vertex_count) if v not in cops]
         r = rnd.choice(starts)
-        state = make_state(0, cops, r, COP_TURN)
+        state = GameState(0, cops, r, COP_TURN)
         ps = pol.initial_pstate(g, cops, r)
         for _ in range(25):
             if is_capture(state):
@@ -417,10 +501,9 @@ def test_robber_policies_emit_legal_moves(fam, seed):
     ]
     for g, make, cops in cases:
         pol = make(g)
-        r = pol.robber_placement(g, cops)
+        r, ps = pol.robber_start(g, cops)
         assert 0 <= r < g.vertex_count and r not in cops
-        state = make_state(0, cops, r, COP_TURN)
-        ps = pol.initial_pstate(g, cops, r)
+        state = GameState(0, cops, r, COP_TURN)
         for _ in range(25):
             # random legal cop move
             dests = tuple(rnd.choice(cop_move_options(g, state.burned, c)) for c in state.cops)
