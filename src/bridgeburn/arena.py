@@ -14,14 +14,16 @@ every move (and optionally every placement) of the free side:
 Nodes are (game state, policy internal state) pairs, which keeps the
 memoization sound for stateful policies.
 
-The arena holds no rules of its own: every move, a policy's or the free
-side's, is applied by the engine's apply_cop_moves / apply_robber_move,
-and the free side's candidates come from cop_move_options.  A robber
-policy's `robber_start` gives its start vertex and initial state in one
-call per play, so nothing a placement decides outlives that play.  Every
-placement is checked against the graph before play from it starts:
-free-side placements before the search, a cop policy's cops before the
-robber policy sees them, then the robber's vertex.
+The arena holds no rules of its own: a policy's move is applied by the
+engine's apply_cop_moves / apply_robber_move, and the free side's moves
+are the engine's cop_successors / robber_successors, which apply theirs
+the same way.  Both searches expand a node through one function,
+_children: the pinned side's one move on its turn, else every successor.
+A robber policy's `robber_start` gives its start vertex and initial
+state in one call per play, so nothing a placement decides outlives that
+play.  Every placement is checked against the graph before play from it
+starts: free-side placements before the search, a cop policy's cops
+before the robber policy sees them, then the robber's vertex.
 
 Each exhaustive search keeps one dict, for that exhaust_vs_policy call
 only, from (burned mask, robber vertex) to the robber's component, and
@@ -47,9 +49,10 @@ from .engine import (
     Transcript,
     apply_cop_moves,
     apply_robber_move,
-    cop_move_options,
+    cop_successors,
     is_capture,
     robber_component_check,
+    robber_successors,
 )
 from .graph import Graph, check_vertex
 from .solver import BudgetExceeded
@@ -84,9 +87,13 @@ class Verdict:
         }
 
 
-def _policy_move(policy: Policy, apply, *args):
+def _policy_move(policy: Policy, g: Graph, state: GameState, move):
+    """The policy's move applied by the engine, as (state, records)."""
     try:
-        return apply(*args)
+        if state.phase == COP_TURN:
+            return apply_cop_moves(g, state, move)
+        nstate, record = apply_robber_move(g, state, move)
+        return nstate, [record]
     except IllegalMoveError as e:
         raise IllegalPolicyMoveError(policy, str(e)) from None
 
@@ -120,20 +127,15 @@ def run_match(
     if is_capture(state):
         t.outcome = Outcome("cop_win", round=0)
         return t
-    cop_ps = cop.initial_pstate(g, cops, r0)
+    pstates = [cop.initial_pstate(g, cops, r0), rob_ps]
     for rnd in range(1, max_rounds + 1):
-        move, cop_ps = cop.choose(g, state, cop_ps)
-        state, records = _policy_move(cop, apply_cop_moves, g, state, move)
-        t.turns.append(records)
-        if is_capture(state):
-            t.outcome = Outcome("cop_win", round=rnd)
-            return t
-        dest, rob_ps = robber.choose(g, state, rob_ps)
-        state, record = _policy_move(robber, apply_robber_move, g, state, dest)
-        t.turns.append([record])
-        if is_capture(state):
-            t.outcome = Outcome("cop_win", round=rnd)
-            return t
+        for i, policy in enumerate((cop, robber)):
+            move, pstates[i] = policy.choose(g, state, pstates[i])
+            state, records = _policy_move(policy, g, state, move)
+            t.turns.append(records)
+            if is_capture(state):
+                t.outcome = Outcome("cop_win", round=rnd)
+                return t
         if not robber_component_check(g, state):
             t.outcome = Outcome("robber_escape", round=rnd, reason="isolated")
             return t
@@ -187,25 +189,14 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             (node, depth) = frontier.popleft()
             if best is not None and depth >= best[0]:
                 break
-            state, ps = node
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
-            if state.phase == COP_TURN:
-                options = [cop_move_options(g, state.burned, c) for c in state.cops]
-                children = [
-                    (*apply_cop_moves(g, state, combo), ps)
-                    for combo in itertools.product(*options)
-                ]
-            else:
-                dest, nps = fixed.choose(g, state, ps)
-                nstate, record = _policy_move(fixed, apply_robber_move, g, state, dest)
-                children = [(nstate, [record], nps)]
-            for (nstate, records, nps) in children:
-                key = (nstate, nps)
+            for key, records in _children(g, fixed, node):
                 if key in seen:
                     continue
                 seen[key] = (node, records)
+                nstate = key[0]
                 if is_capture(nstate):
                     tr = _rebuild_transcript(g, init, seen, key)
                     tr.outcome = Outcome("cop_win", round=(depth + 2) // 2)
@@ -237,21 +228,19 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
         init = GameState(0, cops, r0, COP_TURN)
         if is_capture(init):
             continue
-        ps0 = fixed.initial_pstate(g, cops, r0)
-        root = (init, ps0)
+        root = (init, fixed.initial_pstate(g, cops, r0))
+        if root in done:
+            continue  # a repeated start
         parent = {root: None}
         gray: set = set()
         stack: list[tuple] = [(root, None)]  # (node, child iterator)
         while stack:
             node, it = stack[-1]
-            if it is None:
-                if node in done or node in gray:
-                    stack.pop()
-                    continue
+            if it is None:  # first visit; a pushed node is never done or gray
                 nodes += 1
                 if budget is not None and nodes > budget:
                     raise BudgetExceeded(nodes)
-                state, ps = node
+                state = node[0]
                 if is_capture(state):
                     done.add(node)
                     stack.pop()
@@ -261,7 +250,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)
                 gray.add(node)
-                it = _node_children(g, fixed, node)
+                it = iter(_children(g, fixed, node))
                 stack[-1] = (node, it)
             try:
                 child, records = next(it)
@@ -277,21 +266,22 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                 tr.outcome = Outcome("robber_escape", reason="repeatable position")
                 return Verdict("beaten", nodes, tr)
             if child not in done:
-                parent.setdefault(child, (node, records))
+                parent[child] = (node, records)
                 stack.append((child, None))
     return Verdict("wins", nodes)
 
 
-def _node_children(g, fixed, node):
+def _children(g, fixed, node) -> list:
+    """(child node, records) pairs: the pinned policy's one move on its
+    side's turn, else every engine successor of the free side."""
     state, ps = node
+    if (state.phase == COP_TURN) == (fixed.side == "cop"):
+        move, nps = fixed.choose(g, state, ps)
+        nstate, records = _policy_move(fixed, g, state, move)
+        return [((nstate, nps), records)]
     if state.phase == COP_TURN:
-        dest, nps = fixed.choose(g, state, ps)
-        nstate, records = _policy_move(fixed, apply_cop_moves, g, state, dest)
-        yield (nstate, nps), records
-    else:
-        for to in cop_move_options(g, state.burned, state.robber):
-            nstate, record = apply_robber_move(g, state, to)
-            yield (nstate, ps), [record]
+        return [((t, ps), records) for (t, records) in cop_successors(g, state)]
+    return [((t, ps), [record]) for (t, record) in robber_successors(g, state)]
 
 
 def _rebuild_transcript(g, init, parent, node) -> Transcript:

@@ -7,10 +7,13 @@ edge for both sides.  Capture (any cop sharing the robber's vertex) is
 checked after every half-turn and ends the game immediately.
 
 `apply_cop_moves` and `apply_robber_move` are the only legality check:
-the arena, `Transcript.replay` and `robber_successors` apply every move
-through them.  The scripted policies ask `cop_move_options` which moves
-are open before they choose one, and the arena still applies whatever
-they return through `apply_*`, which remain the only enforcement.
+the arena, `Transcript.replay`, `cop_successors` and `robber_successors`
+apply every move through them.  `cop_successors` and `robber_successors`
+are the only lists of a side's moves; the arena's free side and the
+solver's strategy walk expand through them.  The scripted policies ask
+`cop_move_options` which moves are open before they choose one, and the
+arena still applies whatever they return through `apply_*`, which remain
+the only enforcement.
 """
 
 from __future__ import annotations
@@ -81,24 +84,19 @@ def cop_move_options(g: Graph, burned: int, c: int) -> list[int]:
     return opts
 
 
-def cop_successors(g: Graph, s: GameState) -> list[GameState]:
-    """All one-turn cop-team moves, canonicalized and deduplicated.
+def cop_successors(g: Graph, s: GameState) -> list[tuple[GameState, list[MoveRecord]]]:
+    """Every one-turn cop-team move, one (state, records) pair per cop multiset.
 
     Cops move simultaneously and independently; two cops may swap across
-    one edge.  The burned mask never changes on a cop turn.
+    one edge.  Each pair is `apply_cop_moves` of the first move tuple, in
+    product order, that reaches its multiset.
     """
-    if s.phase != COP_TURN:
-        raise PhaseError("cop_successors requires a CopTurn state")
-    burned = s.burned
-    option_lists = [cop_move_options(g, burned, c) for c in s.cops]
-    seen: set[tuple[int, ...]] = set()
-    out: list[GameState] = []
-    for combo in itertools.product(*option_lists):
+    out: dict[tuple[int, ...], tuple[GameState, list[MoveRecord]]] = {}
+    for combo in itertools.product(*(cop_move_options(g, s.burned, c) for c in s.cops)):
         cops = tuple(sorted(combo))
-        if cops not in seen:
-            seen.add(cops)
-            out.append(GameState(burned, cops, s.robber, ROBBER_TURN))
-    return out
+        if cops not in out:
+            out[cops] = apply_cop_moves(g, s, combo)
+    return list(out.values())
 
 
 def _unburned_edge(g: Graph, burned: int, frm: int, to: int, who: str) -> int:

@@ -54,6 +54,7 @@ horizon of any one root is expanded and the argument holds per root.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -311,7 +312,7 @@ def extract_strategy(
             continue
         if s.phase == COP_TURN:
             best: tuple[int, GameState] | None = None
-            for t in cop_successors(g, s):
+            for t, _records in cop_successors(g, s):
                 tid = space.ids.get(game.canonical(game.encode(t)))
                 if tid is not None and won[tid] and (best is None or (rank[tid], t) < best):
                     best = (rank[tid], t)
@@ -389,6 +390,10 @@ def cop_wins_with_k(
         raise ValueError("k must be positive")
     if not is_connected(g):
         raise DisconnectedGraphError("cop_wins_with_k requires a connected graph")
+    # Robber start 0 alone seeds one root per placement avoiding vertex 0,
+    # so a budget below their number is spent before any is listed.
+    if budget is not None and math.comb(max(g.vertex_count - 1, 0) + k - 1, k) > budget:
+        raise BudgetExceeded(budget)
     placements = list(itertools.combinations_with_replacement(range(g.vertex_count), k))
     try:
         worst, explored = _placement_rounds(g, placements, variant, budget)

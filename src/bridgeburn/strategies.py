@@ -334,6 +334,8 @@ class LeafIsolateRobber(PlanRobber):
     def __init__(self, g: Graph, leaf: int | None = None):
         if leaf is not None and not 0 <= leaf < g.vertex_count:
             raise PolicyApplicabilityError(f"leaf {leaf} is not a vertex")
+        if leaf is not None and g.degree(leaf) != 1:
+            raise PolicyApplicabilityError(f"vertex {leaf} is not a leaf")
         self.requested_leaf = leaf
 
     def robber_start(self, g, cops):
@@ -342,8 +344,6 @@ class LeafIsolateRobber(PlanRobber):
         else:
             candidates = [v for v in range(g.vertex_count) if g.degree(v) == 1]
         for leaf in candidates:
-            if g.degree(leaf) != 1:
-                continue
             dist = all_distances_from(g, leaf)
             if all(dist[c] > 2 for c in cops):
                 return g.neighbors(leaf)[0], (leaf,)

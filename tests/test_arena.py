@@ -1,5 +1,8 @@
+import inspect
+
 import pytest
 
+from bridgeburn import arena
 from bridgeburn.arena import exhaust_vs_policy, run_match
 from bridgeburn.engine import Transcript
 from bridgeburn.families import FamilySpec, generate
@@ -142,3 +145,47 @@ def test_placement_exhaust_answers_pinned(fam, family, m, n, nodes, half_turns):
     assert (v.outcome, v.nodes_searched) == ("beaten", nodes)
     assert v.counterexample.outcome.reason == "isolated"
     assert len(v.counterexample.turns) == half_turns
+
+
+def test_run_match_robber_walks_onto_a_cop(fam):
+    g = fam("path", 3)
+    tr = run_match(g, StationaryCop(g, (0,)), PlanRobber(g, 2, [1, 0]))
+    assert (tr.outcome.kind, tr.outcome.round) == ("cop_win", 2)
+    assert [mv.actor for half in tr.turns for mv in half] == [0, -1, 0, -1]
+    assert tr.replay().robber == 0
+
+
+def test_exhaust_robber_starting_on_a_cop_is_one_node(fam):
+    g = fam("path", 3)
+    pol = PlanRobber(g, 2, [])
+    first = exhaust_vs_policy(g, pol, [(0,)])
+    assert first.outcome == "beaten" and first.counterexample.outcome.round == 2
+    v = exhaust_vs_policy(g, pol, [(0,), (2,)])
+    assert (v.outcome, v.nodes_searched) == ("beaten", first.nodes_searched + 1)
+    tr = v.counterexample
+    assert (tr.initial.cops, tr.initial.robber, tr.turns) == ((2,), 2, [])
+    assert (tr.outcome.kind, tr.outcome.round) == ("cop_win", 0)
+
+
+def test_exhaust_skips_starts_on_the_cop_and_repeated_starts(fam):
+    g = fam("path", 6)
+    cop = GreedyCloserCop(g, (2,))
+    once = exhaust_vs_policy(g, cop, [1, 3])
+    v = exhaust_vs_policy(g, cop, [2, 1, 3, 1, 3, 2])
+    assert once.wins_always and v.wins_always
+    assert v.nodes_searched == once.nodes_searched
+
+
+def test_exhaust_budget_exceeded_with_the_cop_pinned(fam):
+    g = fam("path", 6)
+    cop = GreedyCloserCop(g, (2,))
+    nodes = exhaust_vs_policy(g, cop, [1, 3]).nodes_searched
+    assert exhaust_vs_policy(g, cop, [1, 3], budget=nodes).wins_always
+    with pytest.raises(BudgetExceeded):
+        exhaust_vs_policy(g, cop, [1, 3], budget=nodes - 1)
+
+
+def test_arena_lists_no_moves_itself():
+    """The free side's moves are the engine's successor functions."""
+    src = inspect.getsource(arena)
+    assert "cop_move_options" not in src and "itertools.product" not in src

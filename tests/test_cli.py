@@ -76,6 +76,12 @@ def test_exit_budget(capsys):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+def test_exit_budget_before_listing_placements(capsys):
+    code, out = run(capsys, "solve", "--family", "grid", "--params", "6,6", "--cops", "8")
+    assert code == 3
+    assert json.loads(out) == {"error": "budget-exceeded", "explored": 10**7}
+
+
 def test_copnumber_reports_exceeding_max_k(capsys):
     code, out = run(capsys, "copnumber", "--family", "path", "--params", "6", "--max-k", "1")
     obj = json.loads(out)

@@ -24,7 +24,7 @@ from bridgeburn.graph import component_bitmask
 def test_cop_successors_p3(fam):
     g = fam("path", 3)
     s = GameState(0, (0,), 2, COP_TURN)
-    dests = sorted(t.cops[0] for t in cop_successors(g, s))
+    dests = sorted(t.cops[0] for (t, _mvs) in cop_successors(g, s))
     assert dests == [0, 1]
 
 
@@ -32,13 +32,13 @@ def test_cop_cannot_use_burned_edge(fam):
     g = fam("path", 3)
     burned = 1 << g.edge_id(0, 1)
     s = GameState(burned, (0,), 2, COP_TURN)
-    assert [t.cops for t in cop_successors(g, s)] == [(0,)]
+    assert [t.cops for (t, _mvs) in cop_successors(g, s)] == [(0,)]
 
 
 def test_cop_successors_c4_two_cops(fam):
     g = fam("cycle", 4)
     s = GameState(0, (0, 0), 2, COP_TURN)
-    got = sorted(t.cops for t in cop_successors(g, s))
+    got = sorted(t.cops for (t, _mvs) in cop_successors(g, s))
     assert got == [(0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (3, 3)]
 
 

@@ -151,6 +151,20 @@ def test_budget_exceeded_is_distinct(fam):
         cop_wins_with_k(g, 1, budget=50)
 
 
+def test_budget_checked_before_listing_placements(fam):
+    # C(43, 8) placements; robber start 0 alone seeds C(42, 8) roots
+    with pytest.raises(BudgetExceeded) as e:
+        cop_wins_with_k(fam("grid", 6, 6), 8)
+    assert e.value.explored == 10**7
+    g = fam("path", 4)  # start 0 seeds the 6 pairs of vertices 1-3
+    with pytest.raises(BudgetExceeded) as e:
+        cop_wins_with_k(g, 2, budget=5)
+    assert e.value.explored == 5
+    with pytest.raises(BudgetExceeded) as e:
+        bridge_burning_cop_number(fam("grid", 6, 6), k_max=8, budget=20)
+    assert e.value.explored == 20
+
+
 def test_monotonicity_in_k(fam):
     for g in [fam("path", 6), fam("stalemate"), fam("cycle", 5), fam("spider", 2, 2, 2)]:
         winners = [cop_wins_with_k(g, k).winner for k in (1, 2, 3)]

@@ -15,7 +15,7 @@ from bridgeburn.engine import (
     cop_move_options,
     is_capture,
 )
-from bridgeburn.families import FamilySpec, generate
+from bridgeburn.families import FamilySpec, generate, grid_coords, grid_vertex
 from bridgeburn.graph import all_distances_from, build_graph
 from bridgeburn.grid2xn import Grid2xnCopTeam
 from bridgeburn.strategies import (
@@ -125,6 +125,7 @@ def test_make_policy_rejects_bad_parameter_lists(fam, name, params):
         ("degree4_isolate", ("grid", 5, 5), ["5", "5", "7", "2", "0"]),  # column 7 of 5
         ("leaf_isolate", ("path", 6), ["6"]),
         ("leaf_isolate", ("path", 6), ["-1"]),
+        ("leaf_isolate", ("path", 6), ["2"]),  # degree 2
     ],
 )
 def test_family_policies_reject_other_graphs(fam, name, family, params):
@@ -204,6 +205,15 @@ def test_leaf_isolate_escapes_stationary_cop(fam):
     g = fam("path", 6)
     tr = run_match(g, StationaryCop(g, (2,)), LeafIsolateRobber(g))
     assert tr.outcome.kind == "robber_escape"
+
+
+def test_leaf_isolate_requested_leaf(fam):
+    g = fam("path", 6)
+    pol = LeafIsolateRobber(g, 5)
+    assert pol.robber_start(g, (0,)) == (4, (5,))
+    with pytest.raises(PolicyApplicabilityError, match="no unguarded leaf"):
+        pol.robber_start(g, (3,))  # leaf 0 is unguarded, but 5 was asked for
+    assert exhaust_vs_policy(g, pol, [(0,), (1,), (2,)]).wins_always
 
 
 def test_eulerian_stall_survives_five_rounds(fam):
@@ -367,6 +377,40 @@ def test_degree4_one_nearby_cop(fam, family, rejected):
             continue
         assert verdict.wins_always, cop
     assert refused == rejected
+
+
+def _degree4_verdicts(g, center):
+    """Per offset from the center of every single cop at distance 6-9 on
+    the 12x12 torus: rejected, or outcome, nodes and counterexample length."""
+    ci, cj = center
+    pol = Degree4IsolateRobber(g, 12, 12, center, wrap=True)
+    dist = all_distances_from(g, grid_vertex(12, ci, cj))
+    out = {}
+    for cop in range(g.vertex_count):
+        if not 6 <= dist[cop] <= 9:
+            continue
+        i, j = grid_coords(12, cop)
+        offset = ((i - ci) % 12, (j - cj) % 12)
+        try:
+            v = exhaust_vs_policy(g, pol, [(cop,)])
+        except PolicyApplicabilityError:
+            out[offset] = "rejected"
+            continue
+        tr = v.counterexample
+        out[offset] = (v.outcome, v.nodes_searched, tr and len(tr.turns))
+    return out
+
+
+def test_degree4_offsets_wrap_round_the_torus(fam):
+    """Near a corner the nearby cop's offset wraps round, either way; the
+    verdicts are those of the same offsets from the middle."""
+    g = fam("torus", 12, 12)
+    middle = _degree4_verdicts(g, (6, 6))
+    assert len(middle) == 70
+    assert sum(r == "rejected" for r in middle.values()) == 6
+    assert all(r == "rejected" or r[0] == "wins" for r in middle.values())
+    for center in [(1, 1), (10, 10)]:
+        assert _degree4_verdicts(g, center) == middle
 
 
 def _policy_classes(cls=Policy):
