@@ -56,7 +56,7 @@ from .engine import (
 )
 from .graph import Graph, check_vertex
 from .solver import BudgetExceeded
-from .strategies import Policy
+from .strategies import Policy, PolicyApplicabilityError
 
 DEFAULT_EXHAUST_BUDGET = 10**7
 
@@ -157,7 +157,9 @@ def exhaust_vs_policy(
 
     free_side_placements restricts the free side's initial choices (cop
     multisets when the robber is pinned; robber vertices when the cop is
-    pinned).  The verdict's counterexample is the earliest loss by round
+    pinned); a repeated placement is searched once.  A pinned robber
+    policy that declines a cop placement raises PolicyApplicabilityError
+    naming it.  The verdict's counterexample is the earliest loss by round
     (fixed robber) or the first refutation in search order (fixed cop).
     """
     if k_cops < 1:
@@ -171,12 +173,16 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
     if placements is None:
         placements = itertools.combinations_with_replacement(range(g.vertex_count), k_cops)
     else:
-        placements = [_take_cops(g, p) for p in placements]
+        placements = dict.fromkeys(_take_cops(g, p) for p in placements)
     nodes = 0
     components: dict[tuple[int, int], int] = {}
     best: tuple[int, Transcript] | None = None  # (capture half-depth, transcript)
     for cops in placements:
-        r0, ps0 = fixed.robber_start(g, cops)
+        try:
+            r0, ps0 = fixed.robber_start(g, cops)
+        except PolicyApplicabilityError as e:
+            raise PolicyApplicabilityError(
+                f"policy {fixed.name!r} declines cops {cops}: {e}") from e
         check_vertex(g, r0)
         init = GameState(0, cops, r0, COP_TURN)
         if is_capture(init):

@@ -242,8 +242,6 @@ def solve_position(
     """Decide one position exactly: CopWin(rounds) or RobberWin."""
     state = state.canonical()
     _validate_state(g, state)
-    if is_capture(state):
-        return PositionValue("cop", 0, 1)
     space, won, rank = _solve(g, [state], variant, budget)
     rounds = (rank[0] + 1) // 2 if won[0] else None
     return PositionValue("cop" if won[0] else "robber", rounds, len(space.keys))

@@ -14,6 +14,7 @@ from bridgeburn.strategies import (
     HypercubeMirrorCop,
     LeafIsolateRobber,
     PlanRobber,
+    PolicyApplicabilityError,
     StationaryCop,
     make_policy,
 )
@@ -174,6 +175,20 @@ def test_exhaust_skips_starts_on_the_cop_and_repeated_starts(fam):
     v = exhaust_vs_policy(g, cop, [2, 1, 3, 1, 3, 2])
     assert once.wins_always and v.wins_always
     assert v.nodes_searched == once.nodes_searched
+
+
+def test_exhaust_searches_a_repeated_cop_placement_once(fam):
+    g = fam("path", 6)
+    once = exhaust_vs_policy(g, FarthestRobber(), [(2,)])
+    v = exhaust_vs_policy(g, FarthestRobber(), [(2,), (2,)])
+    assert v.outcome == once.outcome
+    assert v.nodes_searched == once.nodes_searched == 10
+
+
+def test_exhaust_names_the_cop_placement_a_robber_declines(fam):
+    g = fam("path", 6)
+    with pytest.raises(PolicyApplicabilityError, match=r"'leaf_isolate' declines cops \(3,\)"):
+        exhaust_vs_policy(g, LeafIsolateRobber(g, 5))
 
 
 def test_exhaust_budget_exceeded_with_the_cop_pinned(fam):

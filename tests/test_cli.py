@@ -211,3 +211,38 @@ def test_malformed_json_graph_is_input_error(capsys, tmp_path, text):
     code, out = run(capsys, "solve", "--graph", str(f), "--cops", "1")
     assert code == 2
     assert json.loads(out)["error"] == "input"
+
+
+def test_exhaust_names_the_declined_cop_placement(capsys):
+    code, out = run(capsys, "exhaust", "--family", "path", "--params", "6",
+                    "--fixed", "leaf_isolate:5")
+    obj = json.loads(out)
+    assert code == 2 and obj["error"] == "input"
+    assert "cops (3,)" in obj["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "grid", "--params", "2,5"],
+        ["solve", "--family", "cycle", "--params", "6", "--cops", "1"],
+        ["copnumber", "--family", "path", "--params", "6"],
+        ["capture-time", "--family", "complete", "--params", "4"],
+        ["tree", "--family", "path", "--params", "6"],
+        ["bounds", "--family", "stalemate"],
+        ["formula", "--family", "torus", "--params", "16,14"],
+        ["arena", "--family", "hypercube", "--params", "3",
+         "--cop", "hypercube_mirror", "--robber", "farthest"],
+        ["exhaust", "--family", "hypercube", "--params", "3", "--fixed", "hypercube_mirror"],
+        ["policies"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_flags_and_help_of_every_command(capsys, argv):
+    code, default = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--json") == (0, default)
+    code, pretty = run(capsys, *argv, "--pretty")
+    assert code == 0 and pretty.endswith("\n") and pretty != default
+    code, usage = run(capsys, argv[0], "--help")
+    assert code == 0 and usage.startswith(f"usage: bridgeburn {argv[0]} ")

@@ -52,6 +52,19 @@ def test_p6_two_cops_win(fam):
     assert cop_wins_with_k(fam("path", 6), 2).winner == "cop"
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        GameState(0, (2,), 2, COP_TURN),
+        GameState(0, (2,), 2, ROBBER_TURN),
+        GameState(0, (1, 4), 4, COP_TURN),
+    ],
+)
+def test_captured_position_is_a_round_zero_cop_win(fam, state):
+    v = solve_position(fam("path", 6), state)
+    assert (v.winner, v.rounds, v.explored) == ("cop", 0, 1)
+
+
 def test_stalemate_position_robber_win(fam):
     g = fam("stalemate")
     v = solve_position(g, GameState(0, (0,), 2, COP_TURN))  # cop at u, robber at w
