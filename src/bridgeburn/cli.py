@@ -12,7 +12,8 @@ alone writes stdout and maps an exception to an exit code.
 
 Exit codes: 0 success, 1 game/domain error, 2 input error, 3 explored-state
 budget exceeded.  `exploredStates` and `--budget` count the states of the
-solver's quotient game space (see `bridgeburn.solver`), not raw game states.
+solver's quotient game spaces, one space per orbit of robber starts under
+the graph's automorphisms (see `bridgeburn.solver`), not raw game states.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ in the burned-edge bitmask used by the game engine.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 UNREACHABLE = -1
@@ -144,6 +144,156 @@ def is_connected(g: Graph) -> bool:
     if g.vertex_count <= 1:
         return True
     return component_bitmask(g, 0) == (1 << g.vertex_count) - 1
+
+
+# --- automorphisms -------------------------------------------------------------
+# Colour refinement (1-dimensional Weisfeiler-Leman) splits vertices by their
+# colour and the multiset of their neighbours' colours until no cell splits.
+# A search refines two copies of the graph as one, so equal colours mean the
+# same thing in both copies whatever numbers they get.
+
+_SEARCH_NODES = 4096  # refinements per (r, rho) search before it gives up
+
+
+def vertex_orbits(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """For each vertex r, (rho, sigma_r): rho is the least vertex of r's
+    orbit under Aut(g), and sigma_r an automorphism with sigma_r[r] == rho.
+
+    Degree-seeded colour refinement gives the cells orbits cannot cross.
+    Vertices go in order; r is searched against the least vertex of each
+    earlier orbit in its cell by individualising r and rho and
+    backtracking.  Every map found is a generator, and its cycles merge
+    orbits, so a vertex it already reaches needs no search.  sigma_r is a
+    product of generators along a breadth-first tree from rho, checked
+    edge by edge before it is returned.  A search that gives up, or a map
+    that fails the check, leaves r its own rho: a coarser answer, never a
+    wrong one.
+    """
+    n = g.vertex_count
+    nbrs = [g.neighbors(v) for v in range(n)]
+    arcs = {(u, v) for v, a in enumerate(nbrs) for u in a}
+    cell = _refine(nbrs, [len(a) for a in nbrs])
+    gens: list[list[int]] = []
+    least = list(range(n))  # least vertex of each vertex's orbit so far
+    for r in range(n):
+        if least[r] != r:
+            continue
+        for rho in sorted({least[v] for v in range(r) if cell[v] == cell[r]}):
+            sigma = _map_onto(g, arcs, nbrs, cell, r, rho)
+            if sigma is not None:
+                gens.append(sigma)
+                least = _merge_orbits(least, sigma)
+                break
+    orbits: list[tuple[int, tuple[int, ...]]] = [(r, tuple(range(n))) for r in range(n)]
+    inverses = [_inverse(s) for s in gens]
+    moves = list(zip(gens, inverses)) + list(zip(inverses, gens))
+    for rho in set(least):
+        # sigma_b = sigma_a o m^-1 takes b = m[a] to rho whenever sigma_a takes a there.
+        tree = {rho: list(range(n))}
+        todo = [rho]
+        for a in todo:
+            for m, inv in moves:
+                b = m[a]
+                if b not in tree:
+                    tree[b] = [tree[a][inv[v]] for v in range(n)]
+                    todo.append(b)
+        for r, sigma in tree.items():
+            if sigma[r] == rho and _is_automorphism(g, arcs, sigma):
+                orbits[r] = (rho, tuple(sigma))
+    return orbits
+
+
+def _is_automorphism(g: Graph, arcs: set[tuple[int, int]], sigma) -> bool:
+    """Whether sigma (vertex -> image) permutes the vertices of g and maps
+    every edge onto an edge; `arcs` holds each edge of g both ways round."""
+    if sorted(sigma) != list(range(g.vertex_count)):
+        return False
+    return all((sigma[u], sigma[v]) in arcs for u, v in g.edges)
+
+
+def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
+    """The coarsest equitable refinement of colour, numbered 0..cells-1."""
+    cells = len(set(colour))
+    while True:
+        sigs = [(colour[v], tuple(sorted([colour[u] for u in a]))) for v, a in enumerate(nbrs)]
+        number = {s: i for i, s in enumerate(dict.fromkeys(sigs))}
+        colour = [number[s] for s in sigs]
+        if len(number) == cells:
+            return colour
+        cells = len(number)
+
+
+def _map_onto(
+    g: Graph, arcs: set[tuple[int, int]], nbrs: list[list[int]], cell: list[int], r: int, rho: int
+) -> list[int] | None:
+    """An automorphism taking r to rho, or None if the search finds none
+    within _SEARCH_NODES refinements.
+
+    The search refines the disjoint union of two copies of the graph, the
+    left copy (vertices 0..n-1) with r individualised and the right one
+    (n..2n-1) with rho, so that equal colours mean the same thing on both
+    sides.  While the colour counts agree, it individualises the first
+    left vertex x of the smallest split cell against each right vertex
+    of that cell in turn; a discrete colouring is a bijection, kept if it
+    maps edges onto edges.
+    """
+    n = len(nbrs)
+    union = nbrs + [[u + n for u in a] for a in nbrs]
+    fresh = max(cell) + 1
+    start = cell + cell
+    start[r] = start[rho + n] = fresh
+    budget = _SEARCH_NODES
+
+    def search(colour: list[int]) -> list[int] | None:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            return None
+        colour = _refine(union, colour)
+        left, right = colour[:n], colour[n:]
+        size = Counter(left)
+        if size != Counter(right):
+            return None
+        split = [(k, c) for c, k in size.items() if k > 1]
+        if not split:
+            image = {c: w for w, c in enumerate(right)}
+            sigma = [image[c] for c in left]
+            return sigma if _is_automorphism(g, arcs, sigma) else None
+        c = min(split)[1]
+        x = left.index(c)
+        new = len(size)  # colours are numbered 0..len(size)-1
+        for y in (w for w in range(n) if right[w] == c):
+            trial = colour.copy()
+            trial[x] = trial[y + n] = new
+            sigma = search(trial)
+            if sigma is not None:
+                return sigma
+        return None
+
+    return search(start)
+
+
+def _merge_orbits(least: list[int], sigma: list[int]) -> list[int]:
+    """least after joining every vertex v with sigma[v]."""
+    parent = least.copy()
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for v, w in enumerate(sigma):
+        a, b = root(v), root(w)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return [root(v) for v in range(len(least))]
+
+
+def _inverse(sigma) -> list[int]:
+    inv = [0] * len(sigma)
+    for v, w in enumerate(sigma):
+        inv[w] = v
+    return inv
 
 
 def all_degrees_even(g: Graph) -> bool:

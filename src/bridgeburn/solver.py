@@ -34,13 +34,19 @@ successors need no re-canonicalizing.  A state whose cops are all at the
 sentinel is an escape.  A RobberTurn state with an escaping move is a
 robber win, so its other successors are never generated.
 
-Whole-game solving runs in one process, one robber start at a time.  For
-each start r, in vertex order, one space is seeded with every placement
-not yet refuted that does not contain r, so the placements share the
-states their plays have in common (the burned mask is a trail from r, so
-spaces of different starts hardly overlap).  `explored_states`, the CLI's
-`exploredStates` and every budget count these quotient states, summed
-over the starts' spaces.
+Whole-game solving runs in one process, one orbit of robber starts at a
+time.  An automorphism sigma of the graph does not change a game's value,
+so placement p against start r is worth sigma(p) against sigma(r).
+`graph.vertex_orbits` gives each start r the least vertex rho of its
+orbit under Aut(G) and a checked automorphism sigma_r with sigma_r(r) =
+rho.  For each orbit, in order of rho, one space rooted at rho is seeded
+with sigma_r(p) for every start r of the orbit and every placement p not
+yet refuted that does not contain r, so the placements share the states
+their plays have in common (the burned mask is a trail from rho, so
+spaces of different orbits hardly overlap).  A graph with no symmetry
+has one orbit per vertex, one space per start.  `explored_states`, the
+CLI's `exploredStates` and every budget count these quotient states,
+summed over the spaces of the orbits' representatives.
 
 The reachable graph is grown in stages (horizon doubling).  States past
 the current horizon count as robber wins, which is pessimistic for the
@@ -71,7 +77,7 @@ from .engine import (
     is_capture,
     robber_successors,
 )
-from .graph import Graph, check_vertex, is_connected
+from .graph import Graph, check_vertex, is_connected, vertex_orbits
 
 DEFAULT_BUDGET = 10**7
 
@@ -335,29 +341,42 @@ def _placement_rounds(
 ) -> tuple[dict[tuple[int, ...], int], int]:
     """Worst capture rounds of every placement that beats each robber start.
 
-    Starts go in vertex order.  Each start's space is seeded with every
-    placement still live that does not contain it; the placements it
-    refutes are dropped, and the search stops once none is live.  A
-    placement that covers every vertex is a 0-round cop win.  Returns
-    {placement: worst rounds} for the winners, in the given order, and
-    the states explored, which the budget bounds.
+    An automorphism sigma of g does not change a game's value, so
+    placement p against start r is worth sigma(p) against sigma(r).  The
+    starts are taken one orbit of Aut(g) at a time (`vertex_orbits`), in
+    order of the orbit's least vertex rho, and one space is rooted at rho.
+    It is seeded with sorted sigma_r(p) for every start r of the orbit and
+    every placement p still live that does not contain r, each distinct
+    placement once; p falls at r iff sigma_r(p) falls at rho, in as many
+    rounds.  The placements an orbit refutes are dropped, and the search
+    stops once none is live.  A placement that covers every vertex is a
+    0-round cop win.  Returns {placement: worst rounds} for the winners,
+    in the given order, and the states explored, which the budget bounds.
     """
     worst = dict.fromkeys(placements, 0)
     explored = 0
-    for r in range(g.vertex_count):
-        live = [p for p in worst if r not in p]
-        if not live:
+    orbits: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for r, (rho, sigma) in enumerate(vertex_orbits(g)):
+        orbits.setdefault(rho, []).append((r, sigma))
+    for rho in sorted(orbits):
+        roots: dict[tuple[int, ...], int] = {}
+        images = []  # (placement, root id of its image), per start of the orbit
+        for p in worst:
+            for r, sigma in orbits[rho]:
+                if r not in p:
+                    q = tuple(sorted([sigma[c] for c in p]))
+                    images.append((p, roots.setdefault(q, len(roots))))
+        if not roots:
             continue
         remaining = None if budget is None else budget - explored
-        roots = [GameState(0, p, r, COP_TURN) for p in live]
-        space, won, rank = _solve(g, roots, variant, remaining)
+        space, won, rank = _solve(g, [GameState(0, q, rho, COP_TURN) for q in roots], variant, remaining)
         explored += len(space.keys)
-        for i, p in enumerate(live):
-            if won[i]:
+        for p, i in images:
+            if not won[i]:
+                worst.pop(p, None)
+            elif p in worst:
                 worst[p] = max(worst[p], (rank[i] + 1) // 2)
-            else:
-                del worst[p]
-        del space, won, rank  # free this start's space before the next one is grown
+        del space, won, rank  # free this orbit's space before the next one is grown
         if not worst:
             break
     return worst, explored
@@ -377,26 +396,29 @@ def cop_wins_with_k(
 ) -> SolveResult:
     """Search all initial cop multisets of size k against best robber play.
 
-    The cop side wins iff some placement beats every robber start.  The
-    reported placement is the lexicographically least one among those
-    minimizing worst-case capture rounds; a robber start on top of a cop
-    counts as capture in round 0 and is never chosen while another vertex
-    exists.  `threads` is accepted and has no effect: the solve runs in
-    one process.
+    The cop side wins iff some placement beats every robber start.  Starts
+    are solved one orbit of Aut(g) at a time, at the orbit's least vertex
+    (see `_placement_rounds`); `explored_states` sums the states of those
+    representatives' spaces.  The reported placement is the
+    lexicographically least one among those minimizing worst-case capture
+    rounds; a robber start on top of a cop counts as capture in round 0
+    and is never chosen while another vertex exists.  `threads` is
+    accepted and has no effect: the solve runs in one process.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if not is_connected(g):
         raise DisconnectedGraphError("cop_wins_with_k requires a connected graph")
-    # Robber start 0 alone seeds one root per placement avoiding vertex 0,
-    # so a budget below their number is spent before any is listed.
+    # Vertex 0 is the least vertex of the first orbit, whose space is seeded
+    # with exactly the placements avoiding vertex 0, so a budget below their
+    # number is spent before any is listed.
     if budget is not None and math.comb(max(g.vertex_count - 1, 0) + k - 1, k) > budget:
         raise BudgetExceeded(budget)
     placements = list(itertools.combinations_with_replacement(range(g.vertex_count), k))
     try:
         worst, explored = _placement_rounds(g, placements, variant, budget)
     except BudgetExceeded:
-        # A start's space stops at the remaining budget, so the running
+        # An orbit's space stops at the remaining budget, so the running
         # total at the stop is the budget.
         raise BudgetExceeded(budget) from None
     if not worst:

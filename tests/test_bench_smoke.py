@@ -15,9 +15,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_bench_run_completes(trace):
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "solve-refute",
+@pytest.mark.parametrize(
+    "workload, trace",
+    [("solve-refute", 0), ("solve-refute", 1), ("solve-copwin", 0)],
+    ids=["0", "1", "copwin-0"],
+)
+def test_bench_run_completes(workload, trace):
+    # Every operation's answer is checked, so this also holds each solve
+    # instance to its pinned winner and capture rounds.
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
            "--seed", "0", "--seconds", "0", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

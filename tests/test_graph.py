@@ -1,5 +1,10 @@
+import itertools
+import math
+import random
+
 import pytest
 
+from bridgeburn.enumeration import connected_graph_classes
 from bridgeburn.graph import (
     UNREACHABLE,
     DuplicateEdgeError,
@@ -12,6 +17,7 @@ from bridgeburn.graph import (
     from_json_dict,
     to_edge_list_text,
     to_json_dict,
+    vertex_orbits,
 )
 from bridgeburn.families import FamilySpec, generate
 
@@ -82,3 +88,63 @@ def test_edge_list_output_normalized(fam):
     lines = to_edge_list_text(g).splitlines()
     assert lines[0] == "4 4"
     assert lines[-1] == "0 3"
+
+
+def _maps_edges_onto_edges(g, sigma):
+    edges = set(g.edges)
+    return sorted(sigma) == list(range(g.vertex_count)) and all(
+        (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) in edges for u, v in g.edges
+    )
+
+
+def _check_orbits(g):
+    """Each sigma_r is an automorphism taking r to rho, and rho is the least
+    vertex of its orbit: the orbits as the finder reports them."""
+    orbits = vertex_orbits(g)
+    assert len(orbits) == g.vertex_count
+    for r, (rho, sigma) in enumerate(orbits):
+        assert sigma[r] == rho <= r
+        assert _maps_edges_onto_edges(g, sigma), r
+        assert orbits[rho][0] == rho
+    return [rho for rho, _sigma in orbits]
+
+
+def _relabeled(g, seed):
+    rng = random.Random(seed)
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return build_graph(g.vertex_count, edges)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_vertex_orbits_match_brute_force(n):
+    for g in connected_graph_classes(n):
+        auts = [p for p in itertools.permutations(range(n)) if _maps_edges_onto_edges(g, p)]
+        assert _check_orbits(g) == [min(a[r] for a in auts) for r in range(n)], g.edges
+
+
+@pytest.mark.parametrize(
+    "family, params, count",
+    [
+        ("hypercube", (3,), 1),
+        ("hypercube", (4,), 1),
+        ("cycle", (12,), 1),
+        ("complete", (6,), 1),
+        ("torus", (3, 3), 1),
+        ("complete_bipartite", (3, 4), 2),
+        *[("grid", (2, n), math.ceil(n / 2)) for n in range(1, 10)],
+        ("grid", (3, 4), 4),
+        ("spider", (4, 4, 4), 5),
+    ],
+)
+def test_vertex_orbit_counts_on_relabeled_families(fam, family, params, count):
+    for seed in range(3):
+        assert len(set(_check_orbits(_relabeled(fam(family, *params), seed)))) == count
+
+
+@pytest.mark.parametrize("family, params", [("hypercube", (6,)), ("torus", (8, 8))])
+def test_vertex_orbits_at_64_vertices(fam, family, params):
+    # One vertex-transitive graph each; a blow-up in the search shows as a slow test.
+    assert set(_check_orbits(_relabeled(fam(family, *params), 0))) == {0}

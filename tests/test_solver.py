@@ -16,6 +16,7 @@ from bridgeburn.engine import (
 )
 from bridgeburn.enumeration import connected_graph_classes
 from bridgeburn.families import FamilySpec
+from bridgeburn import graph
 from bridgeburn.graph import build_graph
 from bridgeburn.solver import (
     BudgetExceeded,
@@ -32,6 +33,7 @@ from bridgeburn.solver import (
 # Frozen by the solver and cross-checked against the memoization-free
 # minimax oracle (tests/minimax_oracle.py); see test_acceptance.py.
 CAPTURE_FAMILY_22_CAPT = 6
+CAPTURE_FAMILY_23_CAPT = 14
 P5_CAPT = 2
 
 
@@ -117,15 +119,24 @@ def test_capture_time_family_22(fam):
     assert res.capture_time_rounds <= g.edge_count * g.vertex_count
 
 
+def test_capture_time_family_23(fam):
+    # The paper's lower bound m^2 k(k-1)/2 + 1 is 13 here; the solver finds 14.
+    lower = family_formula(FamilySpec("capture_family", (2, 3))).capture_time_lower
+    assert lower == 2 * 2 * 3 * 2 // 2 + 1 == 13
+    res = capture_time_bb(fam("capture_family", 2, 3))
+    assert res.capture_time_rounds == CAPTURE_FAMILY_23_CAPT >= lower
+
+
 def test_capture_time_rejects_cb_above_1(fam):
     with pytest.raises(CaptureTimeDomainError):
         capture_time_bb(fam("path", 6))
 
 
 def test_placement_covering_every_vertex(fam):
-    # (0, 0) and (1, 1) each win in round 1 with 5 states; (0, 1) leaves the
-    # robber no start, so it wins in round 0 with none.
-    assert cop_wins_with_k(fam("path", 2), 2) == SolveResult("cop", 2, (0, 1), 0, 10)
+    # (0, 0) and (1, 1) each win in round 1; (0, 1) leaves the robber no
+    # start, so it wins in round 0.  The two vertices form one orbit, so one
+    # space of 5 states, robber at 0 against (1, 1), answers both starts.
+    assert cop_wins_with_k(fam("path", 2), 2) == SolveResult("cop", 2, (0, 1), 0, 5)
     assert cop_wins_with_k(fam("complete", 1), 1).explored_states == 0
 
 
@@ -357,17 +368,44 @@ def _shuffled(g, seed):
         ("complete_bipartite", (2, 4), 1),
         ("capture_family", (1, 3), 1),
         ("spider", (3, 3, 3), 2),
+        ("hypercube", (3,), 1),
+        ("grid", (3, 4), 1),
+        ("complete", (5,), 2),
+        ("path", (2,), 2),
     ],
 )
 def test_shared_pass_matches_per_start_solves_on_relabeled_graphs(fam, family, params, k):
     """Relabeling reorders placements and starts, so this pins the
-    placement tie-break against one `solve_position` per (placement, start)."""
+    placement tie-break against one `solve_position` per (placement, start).
+    The reference never maps a start onto its orbit's representative, so
+    the symmetric graphs here check the orbit reduction too."""
     g = _shuffled(fam(family, *params), 7)
 
     def rounds_of(p, r):
         return solve_position(g, GameState(0, p, r, COP_TURN)).rounds
 
     assert _outcome(cop_wins_with_k(g, k)) == _reference_placement_search(g, k, rounds_of)
+
+
+def _transposition(g, arcs, nbrs, cell, r, rho):
+    sigma = list(range(g.vertex_count))
+    sigma[r], sigma[rho] = rho, r
+    return sigma
+
+
+@pytest.mark.parametrize(
+    "attr, value", [("_SEARCH_NODES", 1), ("_map_onto", _transposition)], ids=["gives-up", "bad-map"]
+)
+def test_finder_failures_cost_states_not_answers(fam, monkeypatch, attr, value):
+    """A search that gives up, or a map that is not an automorphism, leaves
+    each start its own orbit's representative: the solve only gets slower."""
+    g = _shuffled(fam("cycle", 8), 3)
+    want = cop_wins_with_k(g, 1)
+    monkeypatch.setattr(graph, attr, value)
+    assert [rho for rho, _sigma in graph.vertex_orbits(g)] == list(range(8))
+    got = cop_wins_with_k(g, 1)
+    assert _outcome(got) == _outcome(want)
+    assert got.explored_states > want.explored_states
 
 
 def test_values_at_the_shared_pass_reach(fam):
