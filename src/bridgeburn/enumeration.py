@@ -1,54 +1,20 @@
 """Exhaustive small-graph corpora for oracle-style verification.
 
-Labeled trees come from Prüfer sequences; arbitrary connected graphs from
-edge subsets of K_n.  Both enumerations deduplicate up to isomorphism
-first (AHU codes for trees, minimum over vertex permutations for general
-graphs) so the expensive game solves run once per unlabeled class.
+Both enumerations grow one vertex at a time and keep one representative
+per isomorphism class, so the expensive game solves run once per
+unlabeled class.  Trees add a leaf to each class on n - 1 vertices and are
+told apart by AHU codes; connected graphs join a new vertex to every
+non-empty subset of each class on n - 1 vertices and are told apart by
+`graph.canonical_key`.  Every class seen so far is kept in memory, which
+is fine at these sizes; McKay's canonical augmentation (1998,
+"Isomorph-free exhaustive generation") would drop that store.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator
+from typing import Callable, Hashable, Iterable
 
-from .graph import Graph, build_graph, is_connected
-
-
-def tree_edges_from_prufer(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """Decode a Prüfer sequence over vertices 0..n-1 (length n-2)."""
-    if n < 2:
-        raise ValueError("Prüfer decoding needs n >= 2")
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length must be {n - 2}")
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    import heapq
-
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x) if leaf < x else (x, leaf))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, v) if u < v else (v, u))
-    return edges
-
-
-def labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Edge lists of all n^(n-2) labeled trees on n vertices."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield tree_edges_from_prufer(seq, n)
+from .graph import Graph, build_graph, canonical_key
 
 
 def tree_canonical_key(n: int, edges: list[tuple[int, int]]) -> str:
@@ -97,87 +63,41 @@ def _ahu(root: int, n: int, adj: list[list[int]]) -> str:
 
 
 def unlabeled_trees(n: int) -> list[Graph]:
-    """One representative per isomorphism class of n-vertex trees."""
-    seen: dict[str, Graph] = {}
-    for edges in labeled_trees(n):
-        key = tree_canonical_key(n, edges)
-        if key not in seen:
-            seen[key] = build_graph(n, edges)
-    return list(seen.values())
+    """One representative per isomorphism class of n-vertex trees.
 
-
-# --- general connected graphs up to isomorphism -------------------------------
-
-
-def _edge_index_table(n: int) -> dict[tuple[int, int], int]:
-    pairs = list(itertools.combinations(range(n), 2))
-    return {pair: i for i, pair in enumerate(pairs)}
-
-
-def _permutation_bit_tables(n: int) -> list[tuple[list[int], list[int]]]:
-    """Per permutation: split lookup tables mapping edge-mask halves."""
-    idx = _edge_index_table(n)
-    nbits = len(idx)
-    lo_bits = min(8, nbits)
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        single = [0] * nbits
-        for (u, v), i in idx.items():
-            pu, pv = perm[u], perm[v]
-            single[i] = 1 << idx[(pu, pv) if pu < pv else (pv, pu)]
-        lo = [0] * (1 << lo_bits)
-        for m in range(1, 1 << lo_bits):
-            low = m & -m
-            lo[m] = lo[m ^ low] | single[low.bit_length() - 1]
-        hi = [0] * (1 << (nbits - lo_bits))
-        for m in range(1, 1 << (nbits - lo_bits)):
-            low = m & -m
-            hi[m] = hi[m ^ low] | single[low.bit_length() - 1 + lo_bits]
-        tables.append((lo, hi))
-    return tables
+    Removing a leaf from a tree leaves a tree, so adding a leaf at each
+    vertex of each class on n - 1 vertices reaches every class.
+    """
+    return _grow(n, lambda m: [1 << v for v in range(m)],
+                 lambda t: tree_canonical_key(t.vertex_count, t.edges))
 
 
 def connected_graph_classes(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected n-vertex graphs."""
-    if n == 1:
-        return [build_graph(1, [])]
-    pairs = list(itertools.combinations(range(n), 2))
-    nbits = len(pairs)
-    lo_bits = min(8, nbits)
-    lo_mask = (1 << lo_bits) - 1
-    tables = _permutation_bit_tables(n)
-    seen: set[int] = set()
-    out: list[Graph] = []
-    for mask in range(1 << nbits):
-        if bin(mask).count("1") < n - 1:
-            continue
-        if not _mask_connected(n, pairs, mask):
-            continue
-        canon = min(lo[mask & lo_mask] | hi[mask >> lo_bits] for (lo, hi) in tables)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(build_graph(n, [pairs[i] for i in range(nbits) if mask >> i & 1]))
-    return out
+    """One representative per isomorphism class of connected n-vertex graphs.
+
+    Every connected graph on two or more vertices has a vertex whose
+    removal leaves it connected (a leaf of a spanning tree), so joining a
+    new vertex to each non-empty subset of each class on n - 1 vertices
+    reaches every class.
+    """
+    return _grow(n, lambda m: range(1, 1 << m), canonical_key)
 
 
-def _mask_connected(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
-    nbr = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        u, v = pairs[low.bit_length() - 1]
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        m ^= low
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= nbr[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
+def _grow(
+    n: int, joins: Callable[[int], Iterable[int]], key: Callable[[Graph], Hashable]
+) -> list[Graph]:
+    """Classes on n vertices, grown from K_1.  Each class on m vertices gets
+    a vertex m joined to the vertex set of each bitmask in `joins(m)`; the
+    first child with a given `key` represents its class."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    classes = [build_graph(1, [])]
+    for m in range(1, n):
+        seen: dict[Hashable, Graph] = {}
+        for g in classes:
+            for mask in joins(m):
+                edges = g.edges + tuple((v, m) for v in range(m) if mask >> v & 1)
+                child = build_graph(m + 1, edges)
+                seen.setdefault(key(child), child)
+        classes = list(seen.values())
+    return classes

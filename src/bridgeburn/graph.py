@@ -146,11 +146,12 @@ def is_connected(g: Graph) -> bool:
     return component_bitmask(g, 0) == (1 << g.vertex_count) - 1
 
 
-# --- automorphisms -------------------------------------------------------------
+# --- automorphisms and canonical forms ----------------------------------------
 # Colour refinement (1-dimensional Weisfeiler-Leman) splits vertices by their
 # colour and the multiset of their neighbours' colours until no cell splits.
-# A search refines two copies of the graph as one, so equal colours mean the
-# same thing in both copies whatever numbers they get.
+# The orbit search refines two copies of the graph as one, so equal colours
+# mean the same thing in both copies; the canonical form individualises and
+# refines one copy down to discrete colourings (McKay & Piperno 2014).
 
 _SEARCH_NODES = 4096  # refinements per (r, rho) search before it gives up
 
@@ -212,15 +213,68 @@ def _is_automorphism(g: Graph, arcs: set[tuple[int, int]], sigma) -> bool:
 
 
 def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
-    """The coarsest equitable refinement of colour, numbered 0..cells-1."""
+    """The coarsest equitable refinement of colour, numbered 0..cells-1.
+
+    Each round numbers the cells in the sorted order of their signatures
+    (own colour, sorted neighbour colours), so a vertex's colour depends on
+    the colours it started from and never on vertex labels: relabelling
+    the graph permutes the vertices and leaves every colour unchanged.
+    `canonical_key` relies on that.
+    """
     cells = len(set(colour))
     while True:
         sigs = [(colour[v], tuple(sorted([colour[u] for u in a]))) for v, a in enumerate(nbrs)]
-        number = {s: i for i, s in enumerate(dict.fromkeys(sigs))}
+        number = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colour = [number[s] for s in sigs]
         if len(number) == cells:
             return colour
         cells = len(number)
+
+
+def canonical_key(g: Graph) -> tuple[int, int]:
+    """A key that two graphs share exactly when they are isomorphic.
+
+    The key is (n, the least adjacency bit string over the leaves of the
+    individualisation tree).  A node refines its colouring; while a cell
+    has more than one vertex, it individualises each vertex of the
+    smallest such cell (the least colour among equal sizes) in turn and
+    recurses.  A leaf's discrete colouring numbers the vertices 0..n-1, and
+    the graph so relabelled gives bit n*a + b for each edge {a < b}.  Every
+    step is label-invariant, so isomorphic graphs have the same leaves.
+
+    Twins, two vertices with the same neighbours apart from each other,
+    are swapped by an automorphism that fixes every individualised vertex,
+    so their subtrees have the same leaves and only the first is searched.
+    That is the only pruning: on graphs with large automorphism groups
+    that are not made of twins the tree can still be exponential in n.
+    This is meant for the graphs of an enumeration (n up to about 8), not
+    for the families the solver runs on.
+    """
+    n = g.vertex_count
+    nbrs = [g.neighbors(v) for v in range(n)]
+    bits = [sum(1 << u for u in a) for a in nbrs]
+
+    def twins(x: int, y: int) -> bool:
+        both = 1 << x | 1 << y
+        return bits[x] | both == bits[y] | both
+
+    def least(colour: list[int]) -> int:
+        colour = _refine(nbrs, colour)
+        size = Counter(colour)
+        split = [(k, c) for c, k in size.items() if k > 1]
+        if not split:
+            return sum(1 << n * min(colour[u], colour[v]) + max(colour[u], colour[v])
+                       for u, v in g.edges)
+        c = min(split)[1]
+        cell = [x for x in range(n) if colour[x] == c]
+        new = [len(size)]  # colours are numbered 0..len(size)-1
+        return min(
+            least(colour[:x] + new + colour[x + 1:])
+            for i, x in enumerate(cell)
+            if not any(twins(x, y) for y in cell[:i])
+        )
+
+    return n, least([0] * n)
 
 
 def _map_onto(

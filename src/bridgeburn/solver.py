@@ -407,6 +407,8 @@ def cop_wins_with_k(
     """
     if k <= 0:
         raise ValueError("k must be positive")
+    if g.vertex_count == 0:
+        raise ValueError("empty graph")
     if not is_connected(g):
         raise DisconnectedGraphError("cop_wins_with_k requires a connected graph")
     # Vertex 0 is the least vertex of the first orbit, whose space is seeded

@@ -87,7 +87,7 @@ def test_criterion_4_tree_oracle_equivalence():
         if t.vertex_count >= 2:
             assert bridge_burning_cop_number(t, 4).value == want, t.edges
     report(4, f"tree algorithm == exact solver on all {len(classes)} tree classes "
-              "(every labeled tree on <= 8 vertices), N root-invariant")
+              "(every tree on <= 8 vertices up to isomorphism), N root-invariant")
 
 
 def test_criterion_5_bound_inequalities():

@@ -1,8 +1,8 @@
 """The benchmark harness runs end to end against this library.
 
 `bench/tracer.py` patches solver names and `bench/workloads.py` passes
-keywords, so a change to the solver's API can break the benchmark
-without failing any other test.
+keywords and builds policies, so a change to the solver's, the arena's or
+a policy's API can break the benchmark without failing any other test.
 """
 
 import json
@@ -17,8 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("solve-refute", 0), ("solve-refute", 1), ("solve-copwin", 0)],
-    ids=["0", "1", "copwin-0"],
+    [("solve-refute", 0), ("solve-refute", 1), ("solve-copwin", 0), ("exhaust-policy", 0)],
+    ids=["0", "1", "copwin-0", "exhaust-0"],
 )
 def test_bench_run_completes(workload, trace):
     # Every operation's answer is checked, so this also holds each solve

@@ -62,6 +62,17 @@ def test_exit_domain_error(capsys):
     assert json.loads(out)["error"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", "--cops", "1"], ["copnumber"], ["capture-time"], ["bounds"]]
+)
+def test_empty_graph_is_input_error(capsys, tmp_path, argv):
+    f = tmp_path / "empty.edges"
+    f.write_text("0 0\n")
+    code, out = run(capsys, *argv, "--graph", str(f))
+    assert code == 2
+    assert json.loads(out) == {"error": "input", "detail": "empty graph"}
+
+
 def test_exit_input_error(capsys):
     code, out = run(capsys, "copnumber", "--family", "torus", "--params", "2,4")
     assert code == 2

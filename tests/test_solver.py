@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from minimax_oracle import oracle_rounds
+from minimax_oracle import oracle_capture_time, oracle_rounds
 
 from bridgeburn.bounds import family_formula, placement_generators
 from bridgeburn.engine import (
@@ -127,6 +127,16 @@ def test_capture_time_family_23(fam):
     assert res.capture_time_rounds == CAPTURE_FAMILY_23_CAPT >= lower
 
 
+def test_capture_time_record_on_8_vertices(fam):
+    # An 8-vertex graph that one cop needs 7 rounds to clear, more than the
+    # 6 of capture_family(2,2), the paper's lower-bound family on 8 vertices.
+    g = build_graph(8, [(0, 2), (0, 4), (0, 6), (1, 3), (1, 4), (1, 6), (1, 7),
+                        (2, 3), (2, 4), (2, 6), (3, 5), (4, 7), (6, 7)])
+    assert fam("capture_family", 2, 2).vertex_count == 8
+    assert capture_time_bb(g).capture_time_rounds == 7 > CAPTURE_FAMILY_22_CAPT
+    assert oracle_capture_time(g) == 7
+
+
 def test_capture_time_rejects_cb_above_1(fam):
     with pytest.raises(CaptureTimeDomainError):
         capture_time_bb(fam("path", 6))
@@ -167,6 +177,14 @@ def test_disconnected_rejected():
 def test_k_zero_rejected(fam):
     with pytest.raises(ValueError):
         cop_wins_with_k(fam("path", 3), 0)
+
+
+def test_empty_graph_rejected():
+    g = build_graph(0, [])
+    for solve in (lambda: cop_wins_with_k(g, 1), lambda: bridge_burning_cop_number(g),
+                  lambda: capture_time_bb(g)):
+        with pytest.raises(ValueError, match="empty graph"):
+            solve()
 
 
 def test_budget_exceeded_is_distinct(fam):
@@ -415,3 +433,25 @@ def test_values_at_the_shared_pass_reach(fam):
     bounds = family_formula(FamilySpec("torus", (3, 3)))
     assert (bounds.exact, bounds.lower, bounds.upper) == (None, 1, 2)
     assert _outcome(cop_wins_with_k(fam("torus", 3, 3), 1)) == ("cop", (0,), 5)
+
+
+@pytest.mark.parametrize(
+    "m, n, k, want",
+    [
+        (3, 3, 1, ("cop", (4,), 4)),
+        (3, 4, 1, ("cop", (5,), 5)),
+        (3, 5, 1, ("cop", (7,), 5)),
+        (4, 4, 1, ("robber", None, None)),
+        (4, 4, 2, ("cop", (1, 13), 3)),
+    ],
+)
+def test_small_grid_exact_values(fam, m, n, k, want):
+    # The family bounds leave these open (lower bound ceil(mn/121) = 1).
+    assert _outcome(cop_wins_with_k(fam("grid", m, n), k, budget=None)) == want
+
+
+@pytest.mark.parametrize("m, n, cb", [(3, 3, 1), (3, 4, 1), (3, 5, 1), (4, 4, 2)])
+def test_small_grid_cop_numbers_lie_inside_the_family_bounds(m, n, cb):
+    # cb is read off test_small_grid_exact_values' rows.
+    bounds = family_formula(FamilySpec("grid", (m, n)))
+    assert bounds.exact is None and bounds.lower <= cb <= bounds.upper
