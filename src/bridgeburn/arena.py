@@ -161,9 +161,12 @@ def exhaust_vs_policy(
     policy that declines a cop placement raises PolicyApplicabilityError
     naming it.  The verdict's counterexample is the earliest loss by round
     (fixed robber) or the first refutation in search order (fixed cop).
+    k_cops is the free cops' count, so it must be 1 when the cop is pinned.
     """
     if k_cops < 1:
         raise ValueError(f"k_cops must be at least 1, got {k_cops}")
+    if fixed.side == "cop" and k_cops != 1:
+        raise ValueError(f"k_cops={k_cops}, but a pinned cop policy places every cop itself")
     if fixed.side == "robber":
         return _exhaust_cops_vs_robber(g, fixed, free_side_placements, k_cops, budget)
     return _exhaust_robbers_vs_cop(g, fixed, free_side_placements, budget)

@@ -227,14 +227,15 @@ def thm_2xn_columns(n: int) -> list[int]:
 
 
 def _torus_placement(m: int, n: int) -> tuple[int, ...]:
-    # Cops at (7k, 8l) for k + l odd; ranges follow the 7-column / 8-row
-    # spacing so the count lands exactly on 2*ceil(m/16)*ceil(n/14).
-    cops = []
-    for k in range(2 * _ceil_div(n, 14)):
-        for l in range(2 * _ceil_div(m, 16)):
-            if (k + l) % 2 == 1:
-                cops.append(grid_vertex(n, (7 * k) % n, (8 * l) % m))
-    return tuple(sorted(cops))
+    # The count lands exactly on 2*ceil(m/16)*ceil(n/14).
+    return tuple(sorted(_checkerboard(m, n, _ceil_div(n, 14), _ceil_div(m, 16))))
+
+
+def _checkerboard(m: int, n: int, col_pairs: int, row_pairs: int) -> list[int]:
+    """Cops at (7k, 8l) for k < 2*col_pairs, l < 2*row_pairs and k + l odd,
+    wrapped onto the m x n torus."""
+    return [grid_vertex(n, 7 * k % n, 8 * l % m)
+            for k in range(2 * col_pairs) for l in range(2 * row_pairs) if (k + l) % 2]
 
 
 def _grid_placement(m: int, n: int) -> tuple[int, ...]:
@@ -260,11 +261,8 @@ def _grid_placement(m: int, n: int) -> tuple[int, ...]:
     border = len(cops)
     _check_count("border", border, 2 * (m // 5) + 2 * (n // 5) + 4)
 
-    # Central cops: the torus pattern restricted to the grid interior.
-    for k in range(2 * (n // 14)):
-        for l in range(2 * (m // 16)):
-            if (k + l) % 2 == 1:
-                put(7 * k, 8 * l)
+    # Central cops: the torus pattern on whole blocks, which never wraps.
+    cops.extend(_checkerboard(m, n, n // 14, m // 16))
     central = len(cops) - border
     _check_count("central", central, 2 * (m // 16) * (n // 14))
 

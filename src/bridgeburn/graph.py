@@ -247,8 +247,9 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     so their subtrees have the same leaves and only the first is searched.
     That is the only pruning: on graphs with large automorphism groups
     that are not made of twins the tree can still be exponential in n.
-    This is meant for the graphs of an enumeration (n up to about 8), not
-    for the families the solver runs on.
+    This is meant for the classes of `enumeration` (connected graphs up to
+    about n = 8, trees up to n = 12), not for the families the solver runs
+    on.
     """
     n = g.vertex_count
     nbrs = [g.neighbors(v) for v in range(n)]

@@ -126,8 +126,9 @@ class TorusPlacementCop(GreedyCloserCop):
     """Torus upper-bound placement; in-game play is plain greedy chasing,
     which is NOT the full multi-case chase the bound's argument uses.
 
-    Checked with exhaust_vs_policy: it wins on the 3x3, 4x4 and 5x5 tori
-    and loses to an isolated escape on the 6x6 torus.
+    `tests/test_strategies.py::test_placement_chasers_outcomes` checks
+    with exhaust_vs_policy that it wins on the 3x3, 4x4 and 5x5 tori and
+    loses to an isolated escape, which replays, on the 6x6 torus.
     """
 
     name = "torus_placement"
@@ -139,14 +140,31 @@ class TorusPlacementCop(GreedyCloserCop):
 class GridPlacementCop(GreedyCloserCop):
     """Grid upper-bound placement with greedy in-game play (same caveat).
 
-    Checked with exhaust_vs_policy: it wins on the 8x8 grid and loses to
-    an isolated escape on the 8x9 grid.
+    `tests/test_strategies.py::test_placement_chasers_outcomes` checks
+    with exhaust_vs_policy that it wins on the 8x8 grid and loses to an
+    isolated escape, which replays, on the 8x9 grid.
     """
 
     name = "grid_placement"
 
     def __init__(self, g: Graph, m: int, n: int):
         super().__init__(g, placement_generators(_require_family(self, g, "grid", m, n)))
+
+
+class Grid2xnCopTeam(GreedyCloserCop):
+    """The 2xn grid's ceil((n+2)/9) placement with greedy in-game play.
+
+    The placement is the one behind the paper's upper bound (see
+    `bounds.thm_2xn_columns`): a cop in column 3 (column n-1 when n <= 3),
+    then one every ninth column, finishing with a cop in column n-4.  The
+    exhaustive test `test_grid2xn_wins_small` checks that this team wins
+    every 2xn grid with n <= 40.
+    """
+
+    name = "grid2xn_cop"
+
+    def __init__(self, g: Graph, n: int):
+        super().__init__(g, placement_generators(_require_family(self, g, "grid", 2, n)))
 
 
 class HypercubeMirrorCop(Policy):
@@ -676,38 +694,32 @@ def robber_distance_safe(
 # --- catalog ------------------------------------------------------------------
 
 
-def _policies() -> dict:
-    """Policy name -> constructor called as (g, *int params).
-
-    A lambda's parameter names are the CLI parameter list.  Built on call,
-    because grid2xn imports this module.
-    """
-    from .grid2xn import Grid2xnCopTeam
-
-    return {
-        "stationary": lambda g, *cops: StationaryCop(g, cops or (0,)),
-        "greedy_closer": lambda g, *cops: GreedyCloserCop(g, cops or (0,)),
-        "hypercube_mirror": HypercubeMirrorCop,
-        "guard_start_vertex": GuardStartVertexCop,
-        "grid2xn_cop": Grid2xnCopTeam,
-        "torus_placement": TorusPlacementCop,
-        "grid_placement": GridPlacementCop,
-        "farthest": lambda g: FarthestRobber(),
-        "leaf_isolate": LeafIsolateRobber,
-        "corner_isolate": lambda g, m, n, ci, cj: CornerIsolateRobber(g, m, n, (ci, cj)),
-        "border_isolate": BorderIsolateRobber,
-        "gap_isolate": GapIsolateRobber,
-        "degree4_isolate": lambda g, m, n, i, j, wrap: Degree4IsolateRobber(
-            g, m, n, (i, j), bool(wrap)
-        ),
-        "eulerian_stall": EulerianStallRobber,
-        "stalemate_policy": StalematePolicyRobber,
-    }
+# Policy name -> constructor called as (g, *int params).  A lambda's
+# parameter names are the CLI parameter list.
+_POLICIES = {
+    "stationary": lambda g, *cops: StationaryCop(g, cops or (0,)),
+    "greedy_closer": lambda g, *cops: GreedyCloserCop(g, cops or (0,)),
+    "hypercube_mirror": HypercubeMirrorCop,
+    "guard_start_vertex": GuardStartVertexCop,
+    "grid2xn_cop": Grid2xnCopTeam,
+    "torus_placement": TorusPlacementCop,
+    "grid_placement": GridPlacementCop,
+    "farthest": lambda g: FarthestRobber(),
+    "leaf_isolate": LeafIsolateRobber,
+    "corner_isolate": lambda g, m, n, ci, cj: CornerIsolateRobber(g, m, n, (ci, cj)),
+    "border_isolate": BorderIsolateRobber,
+    "gap_isolate": GapIsolateRobber,
+    "degree4_isolate": lambda g, m, n, i, j, wrap: Degree4IsolateRobber(
+        g, m, n, (i, j), bool(wrap)
+    ),
+    "eulerian_stall": EulerianStallRobber,
+    "stalemate_policy": StalematePolicyRobber,
+}
 
 
 def make_policy(name: str, g: Graph, params: list = ()) -> Policy:
     """Build the named policy on g; `params` must convert with `int`."""
-    make = _policies().get(name)
+    make = _POLICIES.get(name)
     if make is None:
         raise PolicyApplicabilityError(f"unknown policy {name!r}")
     try:
@@ -719,4 +731,4 @@ def make_policy(name: str, g: Graph, params: list = ()) -> Policy:
 
 
 def policy_names() -> list[str]:
-    return sorted(_policies())
+    return sorted(_POLICIES)

@@ -21,7 +21,6 @@ from bridgeburn.engine import CLASSIC, COP_TURN, GameState
 from bridgeburn.enumeration import connected_graph_classes, unlabeled_trees
 from bridgeburn.families import FamilySpec, generate
 from bridgeburn.graph import all_distances_from
-from bridgeburn.grid2xn import Grid2xnCopTeam
 from bridgeburn.solver import (
     bridge_burning_cop_number,
     capture_time_bb,
@@ -31,6 +30,7 @@ from bridgeburn.solver import (
 from bridgeburn.strategies import (
     CornerIsolateRobber,
     Degree4IsolateRobber,
+    Grid2xnCopTeam,
     HypercubeMirrorCop,
     robber_distance_safe,
 )

@@ -118,6 +118,14 @@ def test_exhaust_rejects_k_cops_below_one(fam):
         exhaust_vs_policy(g, FarthestRobber(), k_cops=0)
 
 
+def test_exhaust_rejects_k_cops_beside_a_pinned_cop(fam):
+    g = fam("cycle", 6)
+    cop = GreedyCloserCop(g, (0,))
+    with pytest.raises(ValueError, match="k_cops"):
+        exhaust_vs_policy(g, cop, k_cops=3)
+    assert exhaust_vs_policy(g, cop, k_cops=1).wins_always
+
+
 def test_exhaust_placement_restriction(fam):
     g = fam("path", 6)
     # a greedy cop starting on v3 still catches a robber who begins adjacent

@@ -125,6 +125,14 @@ def test_counts_and_budgets_below_one_are_input_errors(capsys, argv):
     assert "must be at least 1" in captured.err
 
 
+def test_exhaust_k_cops_with_a_pinned_cop_is_an_input_error(capsys):
+    code, out = run(capsys, "exhaust", "--family", "cycle", "--params", "6",
+                    "--fixed", "greedy_closer:0", "--k-cops", "3")
+    obj = json.loads(out)
+    assert code == 2
+    assert obj["error"] == "input" and "k_cops" in obj["detail"]
+
+
 def test_tree_trace(capsys):
     code, out = run(capsys, "tree", "--family", "path", "--params", "6", "--root", "0")
     obj = json.loads(out)

@@ -17,7 +17,6 @@ from bridgeburn.engine import (
 )
 from bridgeburn.families import FamilySpec, generate, grid_coords, grid_vertex
 from bridgeburn.graph import all_distances_from, build_graph
-from bridgeburn.grid2xn import Grid2xnCopTeam
 from bridgeburn.strategies import (
     CornerIsolateRobber,
     Degree4IsolateRobber,
@@ -25,6 +24,7 @@ from bridgeburn.strategies import (
     FarthestRobber,
     GapIsolateRobber,
     GreedyCloserCop,
+    Grid2xnCopTeam,
     GuardStartVertexCop,
     HypercubeMirrorCop,
     LeafIsolateRobber,
@@ -445,8 +445,6 @@ def _assigns_to_self(fn: ast.FunctionDef) -> bool:
 def test_policies_assign_to_self_only_in_init():
     """A placement's choices live in the policy state, so one instance
     can serve any number of plays."""
-    import bridgeburn.grid2xn  # noqa: F401  (registers its policy class)
-
     offenders = []
     for cls in _policy_classes():
         tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
