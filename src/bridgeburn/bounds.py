@@ -23,7 +23,7 @@ class BoundsBudgetError(ValueError):
 
 
 class PlacementInvariantError(RuntimeError):
-    """A placement construction broke a count its theorem states; a bug here."""
+    """A placement or cover construction broke what its theorem states; a bug here."""
 
 
 MAX_EXHAUSTIVE_VERTICES = 13
@@ -85,7 +85,7 @@ def _min_cover(universe: int, masks: list[int], n: int) -> tuple[int, tuple[int,
                 acc |= masks[v]
             if acc == universe:
                 return size, combo
-    raise AssertionError("the masks do not cover the universe")
+    raise PlacementInvariantError("the masks do not cover the universe")
 
 
 def all_cliques(g: Graph) -> list[tuple[int, ...]]:

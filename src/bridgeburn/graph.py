@@ -147,44 +147,29 @@ def is_connected(g: Graph) -> bool:
 
 
 # --- automorphisms and canonical forms ----------------------------------------
-# Colour refinement (1-dimensional Weisfeiler-Leman) splits vertices by their
-# colour and the multiset of their neighbours' colours until no cell splits.
-# The orbit search refines two copies of the graph as one, so equal colours
-# mean the same thing in both copies; the canonical form individualises and
-# refines one copy down to discrete colourings (McKay & Piperno 2014).
-
-_SEARCH_NODES = 4096  # refinements per (r, rho) search before it gives up
+# One individualisation-refinement search (McKay 1981, "Practical graph
+# isomorphism"; McKay & Piperno 2014) gives both.  Colour refinement
+# (1-dimensional Weisfeiler-Leman) splits vertices by their colour and the
+# multiset of their neighbours' colours until no cell splits; individualising
+# a vertex of a split cell and refining again walks a tree down to discrete
+# colourings.  Leaves that relabel the graph alike give automorphisms, and
+# the automorphisms found prune the rest of the walk.
 
 
 def vertex_orbits(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     """For each vertex r, (rho, sigma_r): rho is the least vertex of r's
     orbit under Aut(g), and sigma_r an automorphism with sigma_r[r] == rho.
 
-    Degree-seeded colour refinement gives the cells orbits cannot cross.
-    Vertices go in order; r is searched against the least vertex of each
-    earlier orbit in its cell by individualising r and rho and
-    backtracking.  Every map found is a generator, and its cycles merge
-    orbits, so a vertex it already reaches needs no search.  sigma_r is a
-    product of generators along a breadth-first tree from rho, checked
-    edge by edge before it is returned.  A search that gives up, or a map
-    that fails the check, leaves r its own rho: a coarser answer, never a
-    wrong one.
+    The orbits are those of the generators of Aut(g) that `_search`
+    returns.  sigma_r is a product of generators along a breadth-first
+    tree from rho, checked edge by edge before it is returned; a map that
+    fails the check leaves r its own rho.
     """
     n = g.vertex_count
-    nbrs = [g.neighbors(v) for v in range(n)]
-    arcs = {(u, v) for v, a in enumerate(nbrs) for u in a}
-    cell = _refine(nbrs, [len(a) for a in nbrs])
-    gens: list[list[int]] = []
-    least = list(range(n))  # least vertex of each vertex's orbit so far
-    for r in range(n):
-        if least[r] != r:
-            continue
-        for rho in sorted({least[v] for v in range(r) if cell[v] == cell[r]}):
-            sigma = _map_onto(g, arcs, nbrs, cell, r, rho)
-            if sigma is not None:
-                gens.append(sigma)
-                least = _merge_orbits(least, sigma)
-                break
+    gens = _search(g)[1]
+    least = list(range(n))  # least vertex of each vertex's orbit
+    for sigma in gens:
+        least = _merge_orbits(least, sigma)
     orbits: list[tuple[int, tuple[int, ...]]] = [(r, tuple(range(n))) for r in range(n)]
     inverses = [_inverse(s) for s in gens]
     moves = list(zip(gens, inverses)) + list(zip(inverses, gens))
@@ -199,17 +184,18 @@ def vertex_orbits(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
                     tree[b] = [tree[a][inv[v]] for v in range(n)]
                     todo.append(b)
         for r, sigma in tree.items():
-            if sigma[r] == rho and _is_automorphism(g, arcs, sigma):
+            if sigma[r] == rho and _is_automorphism(g, sigma):
                 orbits[r] = (rho, tuple(sigma))
     return orbits
 
 
-def _is_automorphism(g: Graph, arcs: set[tuple[int, int]], sigma) -> bool:
+def _is_automorphism(g: Graph, sigma) -> bool:
     """Whether sigma (vertex -> image) permutes the vertices of g and maps
-    every edge onto an edge; `arcs` holds each edge of g both ways round."""
+    every edge onto an edge."""
     if sorted(sigma) != list(range(g.vertex_count)):
         return False
-    return all((sigma[u], sigma[v]) in arcs for u, v in g.edges)
+    edges = set(g.edges)
+    return all((sigma[u], sigma[v]) in edges or (sigma[v], sigma[u]) in edges for u, v in g.edges)
 
 
 def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
@@ -232,100 +218,99 @@ def _refine(nbrs: list[list[int]], colour: list[int]) -> list[int]:
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
-    """A key that two graphs share exactly when they are isomorphic.
+    """A key that two graphs share exactly when they are isomorphic: (n,
+    the least adjacency bit string over the leaves of `_search`'s tree).
+    Every step of the tree is label-invariant, so isomorphic graphs have
+    the same leaves."""
+    return g.vertex_count, _search(g)[0]
 
-    The key is (n, the least adjacency bit string over the leaves of the
-    individualisation tree).  A node refines its colouring; while a cell
-    has more than one vertex, it individualises each vertex of the
-    smallest such cell (the least colour among equal sizes) in turn and
-    recurses.  A leaf's discrete colouring numbers the vertices 0..n-1, and
-    the graph so relabelled gives bit n*a + b for each edge {a < b}.  Every
-    step is label-invariant, so isomorphic graphs have the same leaves.
 
-    Twins, two vertices with the same neighbours apart from each other,
-    are swapped by an automorphism that fixes every individualised vertex,
-    so their subtrees have the same leaves and only the first is searched.
-    That is the only pruning: on graphs with large automorphism groups
-    that are not made of twins the tree can still be exponential in n.
-    This is meant for the classes of `enumeration` (connected graphs up to
-    about n = 8, trees up to n = 12), not for the families the solver runs
-    on.
+def _search(g: Graph) -> tuple[int, list[list[int]]]:
+    """(the least leaf's bits, generators of Aut(g)) from one walk of the
+    individualisation tree.
+
+    A node refines its colouring; while a cell has more than one vertex, it
+    individualises each vertex of the smallest such cell (the least colour
+    among equal sizes) in turn and recurses.  A leaf's discrete colouring
+    numbers the vertices 0..n-1, and the graph so relabelled gives bit
+    n*a + b for each edge {a < b}.  An automorphism that fixes a node's
+    individualised vertices maps the subtree of each child onto that of
+    the child's image, leaves onto leaves with the same bits, so the walk
+    skips what the automorphisms it has found account for:
+    - a leaf with the bits of the first or the best leaf gives gamma, the
+      map from that leaf's numbering to this one's, which is checked edge
+      by edge and kept;
+    - a child is skipped when an explored sibling is its twin (the swap is
+      kept) or maps onto it under the kept maps that fix the node's
+      individualised vertices;
+    - after gamma, the walk returns to the node where the two leaves'
+      paths part when gamma fixes their common prefix and maps the other
+      branch onto this one.
+    The maps kept generate Aut(g) (McKay 1981, "Practical graph
+    isomorphism").
     """
     n = g.vertex_count
     nbrs = [g.neighbors(v) for v in range(n)]
     bits = [sum(1 << u for u in a) for a in nbrs]
+    gens: list[list[int]] = []
+    leaves: list[tuple[int, list[int], list[int]]] = []  # first and best (bits, path, colour)
 
     def twins(x: int, y: int) -> bool:
         both = 1 << x | 1 << y
         return bits[x] | both == bits[y] | both
 
-    def least(colour: list[int]) -> int:
+    def leaf(colour: list[int], path: list[int]) -> int | None:
+        key = sum(1 << n * min(colour[u], colour[v]) + max(colour[u], colour[v])
+                  for u, v in g.edges)
+        if not leaves or key < leaves[-1][0]:
+            leaves[1:] = [(key, path, colour)]
+            return None
+        for other_key, other, other_colour in leaves:
+            if other_key != key:
+                continue
+            vertex_at = _inverse(colour)
+            gamma = [vertex_at[c] for c in other_colour]
+            if _is_automorphism(g, gamma):
+                gens.append(gamma)
+                d = next(i for i, (a, b) in enumerate(zip(path, other)) if a != b)
+                if all(gamma[v] == v for v in path[:d]) and gamma[other[d]] == path[d]:
+                    return d
+            return None
+        return None
+
+    def node(colour: list[int], path: list[int]) -> int | None:
+        """Walk the subtree below path; the depth to return to, or None."""
         colour = _refine(nbrs, colour)
         size = Counter(colour)
         split = [(k, c) for c, k in size.items() if k > 1]
         if not split:
-            return sum(1 << n * min(colour[u], colour[v]) + max(colour[u], colour[v])
-                       for u, v in g.edges)
+            return leaf(colour, path)
         c = min(split)[1]
-        cell = [x for x in range(n) if colour[x] == c]
-        new = [len(size)]  # colours are numbered 0..len(size)-1
-        return min(
-            least(colour[:x] + new + colour[x + 1:])
-            for i, x in enumerate(cell)
-            if not any(twins(x, y) for y in cell[:i])
-        )
-
-    return n, least([0] * n)
-
-
-def _map_onto(
-    g: Graph, arcs: set[tuple[int, int]], nbrs: list[list[int]], cell: list[int], r: int, rho: int
-) -> list[int] | None:
-    """An automorphism taking r to rho, or None if the search finds none
-    within _SEARCH_NODES refinements.
-
-    The search refines the disjoint union of two copies of the graph, the
-    left copy (vertices 0..n-1) with r individualised and the right one
-    (n..2n-1) with rho, so that equal colours mean the same thing on both
-    sides.  While the colour counts agree, it individualises the first
-    left vertex x of the smallest split cell against each right vertex
-    of that cell in turn; a discrete colouring is a bijection, kept if it
-    maps edges onto edges.
-    """
-    n = len(nbrs)
-    union = nbrs + [[u + n for u in a] for a in nbrs]
-    fresh = max(cell) + 1
-    start = cell + cell
-    start[r] = start[rho + n] = fresh
-    budget = _SEARCH_NODES
-
-    def search(colour: list[int]) -> list[int] | None:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            return None
-        colour = _refine(union, colour)
-        left, right = colour[:n], colour[n:]
-        size = Counter(left)
-        if size != Counter(right):
-            return None
-        split = [(k, c) for c, k in size.items() if k > 1]
-        if not split:
-            image = {c: w for w, c in enumerate(right)}
-            sigma = [image[c] for c in left]
-            return sigma if _is_automorphism(g, arcs, sigma) else None
-        c = min(split)[1]
-        x = left.index(c)
         new = len(size)  # colours are numbered 0..len(size)-1
-        for y in (w for w in range(n) if right[w] == c):
-            trial = colour.copy()
-            trial[x] = trial[y + n] = new
-            sigma = search(trial)
-            if sigma is not None:
-                return sigma
+        orbit, used = list(range(n)), 0  # orbits of the kept maps that fix path
+        done: list[int] = []
+        for x in [v for v in range(n) if colour[v] == c]:
+            if done:
+                for sigma in gens[used:]:
+                    if all(sigma[v] == v for v in path):
+                        orbit = _merge_orbits(orbit, sigma)
+                used = len(gens)
+                if any(orbit[x] == orbit[y] for y in done):
+                    continue
+                twin = next((y for y in done if twins(x, y)), None)
+                if twin is not None:
+                    swap = list(range(n))
+                    swap[x], swap[twin] = twin, x
+                    gens.append(swap)
+                    continue
+            back = node(colour[:x] + [new] + colour[x + 1:], path + [x])
+            if back is not None and back < len(path):
+                return back
+            done.append(x)
         return None
 
-    return search(start)
+    node([0] * n, [])
+    return leaves[-1][0], gens
 
 
 def _merge_orbits(least: list[int], sigma: list[int]) -> list[int]:

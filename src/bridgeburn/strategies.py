@@ -542,7 +542,7 @@ class EulerianStallRobber(Policy):
             for vj in self.vs:
                 if vj != cop and not g.has_edge(vj, cop):
                     return vj, (3, 0, 0)
-            raise AssertionError("some clique vertex always avoids an off-clique cop")
+            raise PolicyApplicabilityError(f"no clique vertex avoids the cop at {cop}")
         index = 1 if cop == self.vs[0] else 0
         return self.circuits[index][0], (0, index, 0)
 

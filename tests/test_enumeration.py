@@ -64,6 +64,9 @@ def test_canonical_key_matches_brute_force_on_every_5_vertex_graph():
         ("spider", (3, 3, 3)),
         ("capture_family", (2, 2)),
         ("stalemate", ()),
+        ("hypercube", (5,)),
+        ("torus", (6, 6)),
+        ("spider", (2, 2, 2, 2, 2, 2, 2, 2)),
     ],
 )
 def test_canonical_key_ignores_labels_on_families(fam, family, params):

@@ -10,6 +10,7 @@ from bridgeburn.graph import (
     DuplicateEdgeError,
     SelfLoopError,
     VertexRangeError,
+    _search,
     all_degrees_even,
     all_distances_from,
     build_graph,
@@ -142,6 +143,42 @@ def test_vertex_orbits_match_brute_force(n):
 def test_vertex_orbit_counts_on_relabeled_families(fam, family, params, count):
     for seed in range(3):
         assert len(set(_check_orbits(_relabeled(fam(family, *params), seed)))) == count
+
+
+def _group_order(gens, n):
+    """Order of the group the permutations generate: the identity closed
+    under composition with each of them."""
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    for a in todo:
+        for s in gens:
+            b = tuple(s[v] for v in a)
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "family, params, order",
+    [
+        ("hypercube", (3,), 48),
+        ("hypercube", (4,), 384),
+        ("cycle", (12,), 24),
+        ("torus", (3, 3), 72),
+        ("complete_bipartite", (3, 4), 144),
+    ],
+)
+def test_search_generates_known_automorphism_groups(fam, family, params, order):
+    g = _relabeled(fam(family, *params), 1)
+    assert _group_order(_search(g)[1], g.vertex_count) == order
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_search_generates_every_automorphism(n):
+    for g in connected_graph_classes(n):
+        auts = sum(_maps_edges_onto_edges(g, p) for p in itertools.permutations(range(n)))
+        assert _group_order(_search(g)[1], n) == auts, g.edges
 
 
 @pytest.mark.parametrize("family, params", [("hypercube", (6,)), ("torus", (8, 8))])
