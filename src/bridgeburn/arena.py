@@ -28,11 +28,17 @@ before the robber policy sees them, then the robber's vertex.
 Each exhaustive search keeps one dict, for that exhaust_vs_policy call
 only, from (burned mask, robber vertex) to the robber's component, and
 answers every escape check from it through robber_component_check.  That
-is sound because the component depends on nothing else, and it pays
-because a cop move never changes the burned mask or the robber's vertex,
-and neither does a robber who stays: most checked states repeat a key.
-The dict gains at most one entry per node in the search's own seen/done
-map, so the node budget bounds it too.
+is sound because the component depends on nothing else.  The check runs
+only on a search's root and after a robber crossing: a cop move or a
+robber who stays changes neither the burned mask nor the robber's
+component, and a cop cannot leave its own component, so such a child
+keeps its parent's answer.  The memo gains at most one entry per checked
+node, so the node budget bounds it too.
+
+The searches store no move records.  The breadth-first search keeps each
+node's parent node, and the depth-first search's stack is the path to
+the node it is on.  Only a counterexample's path gets its records,
+re-derived half-turn by half-turn through the engine by _records.
 """
 
 from __future__ import annotations
@@ -192,8 +198,9 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             tr = Transcript(graph=g, initial=init, outcome=Outcome("cop_win", round=0))
             return Verdict("beaten", nodes + 1, tr)
         # BFS by half-turns; cop branches, robber move pinned by the policy.
-        seen = {(init, ps0): None}
-        frontier: deque = deque([((init, ps0), 0)])
+        root = (init, ps0)
+        seen = {root: None}  # node -> its parent node
+        frontier: deque = deque([(root, 0)])
         while frontier:
             (node, depth) = frontier.popleft()
             if best is not None and depth >= best[0]:
@@ -201,23 +208,30 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
-            for key, records in _children(g, fixed, node):
-                if key in seen:
+            state = node[0]
+            if depth == 0 and not robber_component_check(g, state, components):
+                break  # the robber starts cut off from every cop
+            for child in _children(g, fixed, node):
+                if child in seen:
                     continue
-                seen[key] = (node, records)
-                nstate = key[0]
+                seen[child] = node
+                nstate = child[0]
                 if is_capture(nstate):
-                    tr = _rebuild_transcript(g, init, seen, key)
-                    tr.outcome = Outcome("cop_win", round=(depth + 2) // 2)
                     if best is None or depth + 1 < best[0]:
+                        tr = _transcript(g, fixed, _path(seen, child))
+                        tr.outcome = Outcome("cop_win", round=(depth + 2) // 2)
                         best = (depth + 1, tr)
                     continue
-                if not robber_component_check(g, nstate, components):
+                crossed = nstate.burned != state.burned
+                if crossed and not robber_component_check(g, nstate, components):
                     continue  # escaped: the fixed robber wins this branch
-                frontier.append((key, depth + 1))
+                frontier.append((child, depth + 1))
     if best is None:
         return Verdict("wins", nodes)
     return Verdict("beaten", nodes, best[1])
+
+
+_GRAY, _DONE = 1, 2
 
 
 def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
@@ -230,75 +244,94 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
             check_vertex(g, r0)
     nodes = 0
     components: dict[tuple[int, int], int] = {}
-    # Iterative DFS with an explicit GRAY set: a repeated in-progress node
-    # means the robber can loop forever, beating the cop policy.
-    done: set = set()
+    # Iterative DFS; the stack is the path from the root.  A child that is
+    # _GRAY is on that path, so the robber can loop forever, beating the
+    # cop policy.
+    status: dict = {}
     for r0 in starts:
         init = GameState(0, cops, r0, COP_TURN)
         if is_capture(init):
             continue
         root = (init, fixed.initial_pstate(g, cops, r0))
-        if root in done:
+        if root in status:
             continue  # a repeated start
-        parent = {root: None}
-        gray: set = set()
         stack: list[tuple] = [(root, None)]  # (node, child iterator)
         while stack:
             node, it = stack[-1]
-            if it is None:  # first visit; a pushed node is never done or gray
+            if it is None:  # first visit; a pushed node has no status yet
                 nodes += 1
                 if budget is not None and nodes > budget:
                     raise BudgetExceeded(nodes)
                 state = node[0]
                 if is_capture(state):
-                    done.add(node)
+                    status[node] = _DONE
                     stack.pop()
                     continue
-                if not robber_component_check(g, state, components):
-                    tr = _rebuild_transcript(g, init, parent, node)
+                # Below the root, only a robber crossing can cut him off;
+                # the node under this one on the stack is its parent.
+                fresh = len(stack) == 1 or state.burned != stack[-2][0][0].burned
+                if fresh and not robber_component_check(g, state, components):
+                    tr = _transcript(g, fixed, [n for n, _ in stack])
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)
-                gray.add(node)
+                status[node] = _GRAY
                 it = iter(_children(g, fixed, node))
                 stack[-1] = (node, it)
-            try:
-                child, records = next(it)
-            except StopIteration:
-                gray.discard(node)
-                done.add(node)
+            child = next(it, None)
+            if child is None:
+                status[node] = _DONE
                 stack.pop()
                 continue
-            if child in gray:
+            mark = status.get(child)
+            if mark is None:
+                stack.append((child, None))
+            elif mark == _GRAY:
                 # child is on the path to node: close the loop back to it
-                tr = _rebuild_transcript(g, init, parent, node)
-                tr.turns.append(records)
+                tr = _transcript(g, fixed, [n for n, _ in stack] + [child])
                 tr.outcome = Outcome("robber_escape", reason="repeatable position")
                 return Verdict("beaten", nodes, tr)
-            if child not in done:
-                parent[child] = (node, records)
-                stack.append((child, None))
     return Verdict("wins", nodes)
 
 
+def _pinned_turn(fixed, state) -> bool:
+    return (state.phase == COP_TURN) == (fixed.side == "cop")
+
+
 def _children(g, fixed, node) -> list:
-    """(child node, records) pairs: the pinned policy's one move on its
-    side's turn, else every engine successor of the free side."""
+    """Child nodes: the pinned policy's one move on its side's turn, else
+    every engine successor of the free side."""
     state, ps = node
-    if (state.phase == COP_TURN) == (fixed.side == "cop"):
+    if _pinned_turn(fixed, state):
         move, nps = fixed.choose(g, state, ps)
-        nstate, records = _policy_move(fixed, g, state, move)
-        return [((nstate, nps), records)]
+        return [(_policy_move(fixed, g, state, move)[0], nps)]
     if state.phase == COP_TURN:
-        return [((t, ps), records) for (t, records) in cop_successors(g, state)]
-    return [((t, ps), [record]) for (t, record) in robber_successors(g, state)]
+        return [(t, ps) for (t, _) in cop_successors(g, state)]
+    return [(t, ps) for (t, _) in robber_successors(g, state)]
 
 
-def _rebuild_transcript(g, init, parent, node) -> Transcript:
-    chain = []
-    cur = node
-    while parent[cur] is not None:
-        prev, records = parent[cur]
-        chain.append(records)
-        cur = prev
-    chain.reverse()
-    return Transcript(graph=g, initial=init, turns=chain)
+def _records(g, fixed, node, child) -> list:
+    """The move records of the half-turn from node to child, re-derived the
+    way _children made it; policies are pure, so choose repeats its move."""
+    state = node[0]
+    if _pinned_turn(fixed, state):
+        move, _ = fixed.choose(g, state, node[1])
+        return _policy_move(fixed, g, state, move)[1]
+    if state.phase == COP_TURN:
+        return next(records for (t, records) in cop_successors(g, state) if t == child[0])
+    return next([record] for (t, record) in robber_successors(g, state) if t == child[0])
+
+
+def _path(parent, node) -> list:
+    """The nodes from the search's root to node, by the parent links."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    path.reverse()
+    return path
+
+
+def _transcript(g, fixed, path) -> Transcript:
+    """The transcript of a path of nodes; only a counterexample needs one."""
+    turns = [_records(g, fixed, a, b) for a, b in zip(path, path[1:])]
+    return Transcript(graph=g, initial=path[0][0], turns=turns)

@@ -7,7 +7,7 @@ in the burned-edge bitmask used by the game engine.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 UNREACHABLE = -1
@@ -109,16 +109,18 @@ def all_distances_from(g: Graph, u: int, burned: int = 0) -> list[int]:
     check_vertex(g, u)
     dist = [UNREACHABLE] * g.vertex_count
     dist[u] = 0
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        d = dist[x] + 1
-        for (y, eid) in g.adjacency[x]:
-            if burned >> eid & 1:
-                continue
-            if dist[y] == UNREACHABLE:
-                dist[y] = d
-                q.append(y)
+    adjacency = g.adjacency
+    level, d = [u], 0
+    while level:
+        d += 1
+        nxt = []
+        for x in level:
+            for (y, eid) in adjacency[x]:
+                # a visited vertex skips the shift of the burned mask
+                if dist[y] == UNREACHABLE and not burned >> eid & 1:
+                    dist[y] = d
+                    nxt.append(y)
+        level = nxt
     return dist
 
 

@@ -1,4 +1,5 @@
 import inspect
+import json
 
 import pytest
 
@@ -6,6 +7,7 @@ from bridgeburn import arena
 from bridgeburn.arena import exhaust_vs_policy, run_match
 from bridgeburn.engine import Transcript
 from bridgeburn.families import FamilySpec, generate
+from bridgeburn.graph import build_graph
 from bridgeburn.solver import BudgetExceeded
 from bridgeburn.strategies import (
     EulerianStallRobber,
@@ -154,6 +156,75 @@ def test_placement_exhaust_answers_pinned(fam, family, m, n, nodes, half_turns):
     assert (v.outcome, v.nodes_searched) == ("beaten", nodes)
     assert v.counterexample.outcome.reason == "isolated"
     assert len(v.counterexample.turns) == half_turns
+
+
+@pytest.mark.parametrize(
+    "family, make",
+    [
+        ("cycle", lambda g: (StationaryCop(g, (0,)), 1)),  # depth-first, the cop pinned
+        ("path", lambda g: (FarthestRobber(), 2)),  # breadth-first, the robber pinned
+    ],
+    ids=["cop", "robber"],
+)
+def test_exhaust_checks_the_escape_only_after_a_robber_crossing(fam, monkeypatch, family, make):
+    """A cop move or a robber who stays keeps the robber's component, and a
+    cop never leaves its own, so most nodes need no escape check."""
+    g = fam(family, 6)
+    policy, k = make(g)
+    plain = exhaust_vs_policy(g, policy, k_cops=k)
+    calls = []
+    check = arena.robber_component_check
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(arena, "robber_component_check", counted)
+    v = exhaust_vs_policy(g, policy, k_cops=k)
+    assert v.to_json_dict() == plain.to_json_dict()
+    assert 0 < len(calls) < v.nodes_searched
+
+
+def test_exhaust_start_cut_off_from_the_cops_is_an_escape_at_the_root():
+    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    v = exhaust_vs_policy(g, StationaryCop(g, (0,)), [3])
+    tr = v.counterexample
+    assert (v.outcome, v.nodes_searched, tr.outcome.reason) == ("beaten", 1, "isolated")
+    assert (tr.initial.robber, tr.turns) == (3, [])
+
+
+_PATH6 = {"edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], "n": 6}
+_CYCLE6 = {"edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]], "n": 6}
+
+
+@pytest.mark.parametrize(
+    "family, n, policy, params, k, nodes, counterexample",
+    [
+        ("path", 6, "farthest", [], 2, 172, {
+            "graph": _PATH6, "cops0": [1, 4], "robber0": 0,
+            "turns": [{"actor": "cop0", "from": 1, "to": 0, "burned": None},
+                      {"actor": "cop1", "from": 4, "to": 4, "burned": None}],
+            "outcome": {"kind": "cop_win", "round": 1, "reason": None},
+        }),
+        ("cycle", 6, "stationary", [0], 1, 2, {
+            "graph": _CYCLE6, "cops0": [0], "robber0": 1,
+            "turns": [{"actor": "cop0", "from": 0, "to": 0, "burned": None},
+                      {"actor": "robber", "from": 1, "to": 1, "burned": None}],
+            "outcome": {"kind": "robber_escape", "round": None, "reason": "repeatable position"},
+        }),
+    ],
+    ids=["farthest-path6-k2", "stationary-cycle6"],
+)
+def test_exhaust_counterexample_json_pinned(
+    fam, family, n, policy, params, k, nodes, counterexample
+):
+    """Move records are rebuilt only for the counterexample; they must be
+    the ones the engine gives for each half-turn."""
+    g = fam(family, n)
+    v = exhaust_vs_policy(g, make_policy(policy, g, params), k_cops=k)
+    assert (v.outcome, v.nodes_searched) == ("beaten", nodes)
+    assert json.loads(json.dumps(v.counterexample.to_json_dict())) == counterexample
+    v.counterexample.replay()
 
 
 def test_run_match_robber_walks_onto_a_cop(fam):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -59,6 +60,34 @@ def test_bfs_examples(fam):
 def test_bfs_respects_burned_edges(fam):
     g = fam("path", 3)
     assert all_distances_from(g, 0, burned=1 << g.edge_id(0, 1))[2] == UNREACHABLE
+
+
+def _queue_bfs(g, u, burned):
+    """Distances by a first-in first-out queue, the reference for the
+    level-by-level search."""
+    dist = [UNREACHABLE] * g.vertex_count
+    dist[u] = 0
+    q = deque([u])
+    while q:
+        x = q.popleft()
+        for (y, eid) in g.adjacency[x]:
+            if not burned >> eid & 1 and dist[y] == UNREACHABLE:
+                dist[y] = dist[x] + 1
+                q.append(y)
+    return dist
+
+
+@pytest.mark.parametrize(
+    "family, params", [("grid", (5, 7)), ("torus", (4, 6)), ("hypercube", (4,))]
+)
+def test_bfs_matches_a_queue_bfs_on_random_burned_masks(family, params):
+    g = generate(FamilySpec(family, params))
+    rng = random.Random(f"bfs:{family}{params}")
+    for p in (0.0, 0.1, 0.3, 0.6):
+        for _ in range(10):
+            burned = sum(1 << e for e in range(g.edge_count) if rng.random() < p)
+            u = rng.randrange(g.vertex_count)
+            assert all_distances_from(g, u, burned) == _queue_bfs(g, u, burned)
 
 
 def test_all_degrees_even(fam):
