@@ -32,8 +32,21 @@ is sound because the component depends on nothing else.  The check runs
 only on a search's root and after a robber crossing: a cop move or a
 robber who stays changes neither the burned mask nor the robber's
 component, and a cop cannot leave its own component, so such a child
-keeps its parent's answer.  The memo gains at most one entry per checked
-node, so the node budget bounds it too.
+keeps its parent's answer.  So the parent of a crossing always has its
+key in the dict, and a crossing's component comes from the parent's by
+graph.component_after_burn, which searches only until the crossed edge's
+ends meet or the smaller side of a split is found.  Only a root's
+component is searched from scratch.  The memo gains at most one entry per
+checked node, so the node budget bounds it too.
+
+Each search, and each run_match, also keeps one graph.distance_memo and
+passes it to every Policy.choose as `dist`, so a distance from one source
+over one burned mask is computed once per search, not once per choice.
+It dies with the call: a memo kept between calls would answer a repeated
+search from the first one's work.  It holds at most as many entries as
+the distinct sources one choose asks for (one for a greedy chaser, up to
+deg + 1 for the farthest robber) times the nodes searched, so the node
+budget bounds it as well.
 
 The searches store no move records.  The breadth-first search keeps each
 node's parent node, and the depth-first search's stack is the path to
@@ -60,7 +73,7 @@ from .engine import (
     robber_component_check,
     robber_successors,
 )
-from .graph import Graph, check_vertex
+from .graph import Graph, check_vertex, distance_memo
 from .solver import BudgetExceeded
 from .strategies import Policy, PolicyApplicabilityError
 
@@ -134,9 +147,10 @@ def run_match(
         t.outcome = Outcome("cop_win", round=0)
         return t
     pstates = [cop.initial_pstate(g, cops, r0), rob_ps]
+    dist = distance_memo(g)
     for rnd in range(1, max_rounds + 1):
         for i, policy in enumerate((cop, robber)):
-            move, pstates[i] = policy.choose(g, state, pstates[i])
+            move, pstates[i] = policy.choose(g, state, pstates[i], dist)
             state, records = _policy_move(policy, g, state, move)
             t.turns.append(records)
             if is_capture(state):
@@ -185,6 +199,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
         placements = dict.fromkeys(_take_cops(g, p) for p in placements)
     nodes = 0
     components: dict[tuple[int, int], int] = {}
+    dist = distance_memo(g)
     best: tuple[int, Transcript] | None = None  # (capture half-depth, transcript)
     for cops in placements:
         try:
@@ -211,19 +226,19 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             state = node[0]
             if depth == 0 and not robber_component_check(g, state, components):
                 break  # the robber starts cut off from every cop
-            for child in _children(g, fixed, node):
+            for child in _children(g, fixed, node, dist):
                 if child in seen:
                     continue
                 seen[child] = node
                 nstate = child[0]
                 if is_capture(nstate):
                     if best is None or depth + 1 < best[0]:
-                        tr = _transcript(g, fixed, _path(seen, child))
+                        tr = _transcript(g, fixed, _path(seen, child), dist)
                         tr.outcome = Outcome("cop_win", round=(depth + 2) // 2)
                         best = (depth + 1, tr)
                     continue
                 crossed = nstate.burned != state.burned
-                if crossed and not robber_component_check(g, nstate, components):
+                if crossed and not robber_component_check(g, nstate, components, state):
                     continue  # escaped: the fixed robber wins this branch
                 frontier.append((child, depth + 1))
     if best is None:
@@ -244,6 +259,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
             check_vertex(g, r0)
     nodes = 0
     components: dict[tuple[int, int], int] = {}
+    dist = distance_memo(g)
     # Iterative DFS; the stack is the path from the root.  A child that is
     # _GRAY is on that path, so the robber can loop forever, beating the
     # cop policy.
@@ -269,13 +285,14 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                     continue
                 # Below the root, only a robber crossing can cut him off;
                 # the node under this one on the stack is its parent.
-                fresh = len(stack) == 1 or state.burned != stack[-2][0][0].burned
-                if fresh and not robber_component_check(g, state, components):
-                    tr = _transcript(g, fixed, [n for n, _ in stack])
+                parent = stack[-2][0][0] if len(stack) > 1 else None
+                fresh = parent is None or state.burned != parent.burned
+                if fresh and not robber_component_check(g, state, components, parent):
+                    tr = _transcript(g, fixed, [n for n, _ in stack], dist)
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)
                 status[node] = _GRAY
-                it = iter(_children(g, fixed, node))
+                it = iter(_children(g, fixed, node, dist))
                 stack[-1] = (node, it)
             child = next(it, None)
             if child is None:
@@ -287,7 +304,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                 stack.append((child, None))
             elif mark == _GRAY:
                 # child is on the path to node: close the loop back to it
-                tr = _transcript(g, fixed, [n for n, _ in stack] + [child])
+                tr = _transcript(g, fixed, [n for n, _ in stack] + [child], dist)
                 tr.outcome = Outcome("robber_escape", reason="repeatable position")
                 return Verdict("beaten", nodes, tr)
     return Verdict("wins", nodes)
@@ -297,24 +314,24 @@ def _pinned_turn(fixed, state) -> bool:
     return (state.phase == COP_TURN) == (fixed.side == "cop")
 
 
-def _children(g, fixed, node) -> list:
+def _children(g, fixed, node, dist) -> list:
     """Child nodes: the pinned policy's one move on its side's turn, else
     every engine successor of the free side."""
     state, ps = node
     if _pinned_turn(fixed, state):
-        move, nps = fixed.choose(g, state, ps)
+        move, nps = fixed.choose(g, state, ps, dist)
         return [(_policy_move(fixed, g, state, move)[0], nps)]
     if state.phase == COP_TURN:
         return [(t, ps) for (t, _) in cop_successors(g, state)]
     return [(t, ps) for (t, _) in robber_successors(g, state)]
 
 
-def _records(g, fixed, node, child) -> list:
+def _records(g, fixed, node, child, dist) -> list:
     """The move records of the half-turn from node to child, re-derived the
     way _children made it; policies are pure, so choose repeats its move."""
     state = node[0]
     if _pinned_turn(fixed, state):
-        move, _ = fixed.choose(g, state, node[1])
+        move, _ = fixed.choose(g, state, node[1], dist)
         return _policy_move(fixed, g, state, move)[1]
     if state.phase == COP_TURN:
         return next(records for (t, records) in cop_successors(g, state) if t == child[0])
@@ -331,7 +348,7 @@ def _path(parent, node) -> list:
     return path
 
 
-def _transcript(g, fixed, path) -> Transcript:
+def _transcript(g, fixed, path, dist) -> Transcript:
     """The transcript of a path of nodes; only a counterexample needs one."""
-    turns = [_records(g, fixed, a, b) for a, b in zip(path, path[1:])]
+    turns = [_records(g, fixed, a, b, dist) for a, b in zip(path, path[1:])]
     return Transcript(graph=g, initial=path[0][0], turns=turns)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, component_bitmask
+from .graph import Graph, GraphError, component_after_burn, component_bitmask
 
 COP_TURN = 0
 ROBBER_TURN = 1
@@ -157,7 +157,10 @@ def robber_successors(
 
 
 def robber_component_check(
-    g: Graph, s: GameState, components: dict[tuple[int, int], int] | None = None
+    g: Graph,
+    s: GameState,
+    components: dict[tuple[int, int], int] | None = None,
+    parent: GameState | None = None,
 ) -> bool:
     """True iff some cop still shares the robber's component.
 
@@ -167,14 +170,23 @@ def robber_component_check(
     `components` maps (burned, robber) to the robber's component bitmask
     on g.  A caller checking many states of one game passes the same dict
     to every call, and each component is computed once; without it the
-    component is computed afresh.
+    component is computed afresh.  `parent` is the state s follows when
+    the robber has just crossed from parent.robber to s.robber, burning
+    that one edge; its key must be in `components`, and a component not
+    there yet is then updated from the parent's by `component_after_burn`
+    instead of searched from scratch.
     """
     if components is None:
         components = {}
     key = (s.burned, s.robber)
     comp = components.get(key)
     if comp is None:
-        comp = components[key] = component_bitmask(g, s.robber, s.burned)
+        if parent is None:
+            comp = component_bitmask(g, s.robber, s.burned)
+        else:
+            comp_u = components[parent.burned, parent.robber]
+            comp = component_after_burn(g, s.burned, parent.robber, s.robber, comp_u)
+        components[key] = comp
     return any(comp >> c & 1 for c in s.cops)
 
 

@@ -7,8 +7,10 @@ in the burned-edge bitmask used by the game engine.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 UNREACHABLE = -1
 
@@ -124,6 +126,31 @@ def all_distances_from(g: Graph, u: int, burned: int = 0) -> list[int]:
     return dist
 
 
+def distance_memo(g: Graph) -> Callable[[int, int], Sequence[int]]:
+    """dist(source, burned): `all_distances_from(g, source, burned)`, each
+    computed once for the life of the returned callable.
+
+    The memo keeps each result as immutable bytes in the narrowest array
+    typecode that holds every distance on g and UNREACHABLE, and returns
+    a memoryview on them, so callers share it without copying and none
+    can change it.  An entry costs n times that item size plus about 150
+    bytes with its key (2n + 150 on a graph with 128 < n <= 2**15), one
+    per distinct (source, burned) asked for; a caller that keeps the memo
+    for one search bounds it by that search's work.
+    """
+    typecode = next(tc for tc in "bhiq" if g.vertex_count <= 1 << 8 * array(tc).itemsize - 1)
+    memo: dict[tuple[int, int], bytes] = {}
+
+    def dist(source: int, burned: int) -> Sequence[int]:
+        key = (source, burned)
+        packed = memo.get(key)
+        if packed is None:
+            packed = memo[key] = array(typecode, all_distances_from(g, source, burned)).tobytes()
+        return memoryview(packed).cast(typecode)
+
+    return dist
+
+
 def component_bitmask(g: Graph, v: int, burned: int = 0) -> int:
     """Bitmask over vertices of v's component, skipping burned edges."""
     check_vertex(g, v)
@@ -140,6 +167,41 @@ def component_bitmask(g: Graph, v: int, burned: int = 0) -> int:
                 seen |= b
                 stack.append(y)
     return seen
+
+
+def component_after_burn(g: Graph, burned: int, u: int, v: int, comp_u: int) -> int:
+    """v's component, skipping burned edges, where burned holds the edge
+    u-v and comp_u is u's component before that edge burned.
+
+    Two breadth-first searches, from u and from v, take turns one vertex at
+    a time.  If they meet, u and v still share a component, which is
+    comp_u.  Otherwise the search that runs out first has found a whole
+    component: v's is that side or the rest of comp_u.  Either way the cost
+    is about twice the smaller side's, not the whole component's (Even &
+    Shiloach, "An on-line edge-deletion problem", J. ACM 28, 1981).
+    """
+    adjacency = g.adjacency
+    seen = [1 << u, 1 << v]
+    queues = [[u], [v]]
+    heads = [0, 0]
+    side = 0
+    while heads[side] < len(queues[side]):
+        queue, mine, other = queues[side], seen[side], seen[1 - side]
+        x = queue[heads[side]]
+        heads[side] += 1
+        for (y, eid) in adjacency[x]:
+            if burned >> eid & 1:
+                continue
+            b = 1 << y
+            if other & b:
+                return comp_u
+            if not mine & b:
+                mine |= b
+                queue.append(y)
+        seen[side] = mine
+        side = 1 - side
+    part = seen[side]
+    return part if part >> v & 1 else comp_u & ~part
 
 
 def is_connected(g: Graph) -> bool:
@@ -250,6 +312,19 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
       branch onto this one.
     The maps kept generate Aut(g) (McKay 1981, "Practical graph
     isomorphism").
+
+    The third rule's guard has not been seen false, and it is not proven
+    that it cannot be.  Each individualised vertex takes the top colour,
+    and refinement keeps the order of colours, so a leaf at depth k gives
+    its path's vertices the top k colours in path order.  gamma maps each
+    vertex to the one with its colour in the other leaf, so for two leaves
+    at one depth it maps the other path onto this one, and the guard
+    holds.  Leaves can lie at different depths (a cubic graph on 8
+    vertices has leaves at depths 1 and 2), and the guard could fail only
+    if two distinct leaves of one tree had the same colouring: gamma maps
+    the tree onto itself and the other leaf onto a leaf coloured like
+    this one.  `tests/test_graph.py` walks whole trees and finds no such
+    pair.  A false guard would only keep the walk going, which is sound.
     """
     n = g.vertex_count
     nbrs = [g.neighbors(v) for v in range(n)]

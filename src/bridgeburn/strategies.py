@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 from functools import partial
-from typing import Hashable
+from typing import Callable, Hashable, Sequence
 
 from .bounds import placement_generators
 from .engine import GameState, apply_robber_move, cop_move_options
@@ -69,12 +69,25 @@ class Policy:
         """Return (start vertex, initial pstate) against the placed cops."""
         raise NotImplementedError
 
-    def choose(self, g: Graph, state: GameState, pstate: Hashable):
-        """Return (move, new_pstate)."""
+    def choose(
+        self,
+        g: Graph,
+        state: GameState,
+        pstate: Hashable,
+        dist: Callable[[int, int], Sequence[int]],
+    ):
+        """Return (move, new_pstate).
+
+        dist(source, burned) gives `all_distances_from(g, source, burned)`
+        from a memo (`graph.distance_memo`) that the caller keeps for one
+        match or one exhaustive search, so a choice asks it instead of
+        searching again.  Its results are read-only views shared by every
+        choice that asks for the same distances.  A policy stays pure: the
+        same (state, pstate) gives the same move whatever dist has seen."""
         raise NotImplementedError
 
 
-def _greedy_step(g: Graph, burned: int, frm: int, dist: list[int]) -> int:
+def _greedy_step(g: Graph, burned: int, frm: int, dist: Sequence[int]) -> int:
     """One step reducing `dist`, current-graph distances to a target; stay
     if impossible."""
     if dist[frm] <= 0:
@@ -107,7 +120,7 @@ class StationaryCop(Policy):
     def cop_placement(self, g):
         return self.starts
 
-    def choose(self, g, state, pstate):
+    def choose(self, g, state, pstate, dist):
         return tuple(state.cops), pstate
 
 
@@ -116,9 +129,9 @@ class GreedyCloserCop(StationaryCop):
 
     name = "greedy_closer"
 
-    def choose(self, g, state, pstate):
-        dist = all_distances_from(g, state.robber, state.burned)
-        dest = tuple(_greedy_step(g, state.burned, c, dist) for c in state.cops)
+    def choose(self, g, state, pstate, dist):
+        to_robber = dist(state.robber, state.burned)
+        dest = tuple(_greedy_step(g, state.burned, c, to_robber) for c in state.cops)
         return dest, pstate
 
 
@@ -195,7 +208,7 @@ class HypercubeMirrorCop(Policy):
         # (mirror dimension or -1, robber's visited-dimension bits, robber's last seen position)
         return (-1, robber, robber)
 
-    def choose(self, g, state, pstate):
+    def choose(self, g, state, pstate, dist):
         mode, visited, prev_r = pstate
         c, r = state.cops[0], state.robber
         visited |= r
@@ -266,21 +279,20 @@ class GuardStartVertexCop(Policy):
     def initial_pstate(self, g, cops, robber):
         return (False, robber, 0)
 
-    def choose(self, g, state, pstate):
+    def choose(self, g, state, pstate, dist):
         reached, v, prev_rv = pstate
         c, r, burned = state.cops[0], state.robber, state.burned
         if not reached and c == v:
             reached = True
-        from_r = all_distances_from(g, r, burned)
+        from_r = dist(r, burned)
         cur_rv = from_r[v]
         if not reached:
-            dest = _greedy_step(g, burned, c, all_distances_from(g, v, burned))
+            dest = _greedy_step(g, burned, c, dist(v, burned))
             if dest == c:
                 dest = _greedy_step(g, burned, c, from_r)
         else:
             robber_closed_in = cur_rv != -1 and (prev_rv == -1 or cur_rv < prev_rv)
-            dist = all_distances_from(g, v, burned) if robber_closed_in else from_r
-            dest = _greedy_step(g, burned, c, dist)
+            dest = _greedy_step(g, burned, c, dist(v, burned) if robber_closed_in else from_r)
         return (dest,), (reached, v, cur_rv)
 
 
@@ -293,11 +305,11 @@ class FarthestRobber(Policy):
     side = "robber"
     name = "farthest"
 
-    def _score(self, g, burned, v, cops):
-        dist = all_distances_from(g, v, burned)
+    def _score(self, g, from_v, cops):
+        """The nearest cop's distance by from_v, n + 1 if none is reachable."""
         best = None
         for c in cops:
-            d = dist[c]
+            d = from_v[c]
             if d >= 0 and (best is None or d < best):
                 best = d
         return g.vertex_count + 1 if best is None else best
@@ -306,13 +318,14 @@ class FarthestRobber(Policy):
         choices = [v for v in range(g.vertex_count) if v not in cops]
         if not choices:
             return 0, None
-        return max(choices, key=lambda v: (self._score(g, 0, v, cops), -v)), None
+        best = max(choices, key=lambda v: (self._score(g, all_distances_from(g, v), cops), -v))
+        return best, None
 
-    def choose(self, g, state, pstate):
+    def choose(self, g, state, pstate, dist):
         best = max(
             cop_move_options(g, state.burned, state.robber),
             key=lambda v: (
-                self._score(g, apply_robber_move(g, state, v)[0].burned, v, state.cops),
+                self._score(g, dist(v, apply_robber_move(g, state, v)[0].burned), state.cops),
                 -v,
             ),
         )
@@ -338,7 +351,7 @@ class PlanRobber(Policy):
     def robber_start(self, g, cops):
         return self.start, self.walk
 
-    def choose(self, g, state, pstate):
+    def choose(self, g, state, pstate, dist):
         return _follow(g, state, pstate)
 
 
@@ -481,13 +494,14 @@ class Degree4IsolateRobber(Policy):
         # up, left, down, right around the center, then one of two halves
         return self.v, (at(0, -1), at(-1, -1), at(-1, 0), at(0, 0), (right_first, down_first))
 
-    def choose(self, g, state, pstate):
+    def choose(self, g, state, pstate, dist):
         if pstate and isinstance(pstate[0], tuple):
             right_first, down_first = pstate[0]
 
             def nearest(target):
-                dist = all_distances_from(g, target, state.burned)
-                return min((dist[c] for c in state.cops if dist[c] >= 0), default=1 << 30)
+                from_target = dist(target, state.burned)
+                return min((from_target[c] for c in state.cops if from_target[c] >= 0),
+                           default=1 << 30)
 
             # circle through the side no cop can cover within 3 steps
             down, right = right_first[2], down_first[2]
@@ -546,7 +560,7 @@ class EulerianStallRobber(Policy):
         index = 1 if cop == self.vs[0] else 0
         return self.circuits[index][0], (0, index, 0)
 
-    def choose(self, g, state, pstate):
+    def choose(self, g, state, pstate, dist):
         mode, index, pos = pstate
         r, cop, burned = state.robber, state.cops[0], state.burned
         if mode == 3:
@@ -571,7 +585,7 @@ class EulerianStallRobber(Policy):
                     return nxt
             return r, pstate  # circuit exhausted, or the cop is elsewhere: wait
         # cop strayed off the clique
-        d_vt = all_distances_from(g, cop, burned)[vt]
+        d_vt = dist(cop, burned)[vt]
         if (d_vt < 0 or d_vt >= 2) and vt in cop_move_options(g, burned, r):
             return vt, (2, index, pos)
         if cop != r and r in cop_move_options(g, burned, cop):
@@ -638,7 +652,7 @@ class StalematePolicyRobber(Policy):
             return self.V, None
         return (self.W if c == self.U else self.U), None
 
-    def choose(self, g, state, pstate):
+    def choose(self, g, state, pstate, dist):
         r, c = state.robber, state.cops[0]
         dest = r
         if r == self.X and c != self.Z:

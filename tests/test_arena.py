@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bridgeburn import arena
+from bridgeburn import arena, engine, graph
 from bridgeburn.arena import exhaust_vs_policy, run_match
 from bridgeburn.engine import Transcript
 from bridgeburn.families import FamilySpec, generate
@@ -13,6 +13,7 @@ from bridgeburn.strategies import (
     EulerianStallRobber,
     FarthestRobber,
     GreedyCloserCop,
+    GuardStartVertexCop,
     HypercubeMirrorCop,
     LeafIsolateRobber,
     PlanRobber,
@@ -146,7 +147,7 @@ def test_exhaust_deterministic(fam):
 
 @pytest.mark.parametrize(
     "family,m,n,nodes,half_turns",
-    [("grid", 8, 9, 1881, 26), ("torus", 16, 14, 139, 74)],
+    [("grid", 8, 9, 1881, 26), ("grid", 16, 14, 9447, 84), ("torus", 16, 14, 139, 74)],
 )
 def test_placement_exhaust_answers_pinned(fam, family, m, n, nodes, half_turns):
     """The placement chasers' exhaustive searches: verdict, nodes searched,
@@ -183,6 +184,67 @@ def test_exhaust_checks_the_escape_only_after_a_robber_crossing(fam, monkeypatch
     v = exhaust_vs_policy(g, policy, k_cops=k)
     assert v.to_json_dict() == plain.to_json_dict()
     assert 0 < len(calls) < v.nodes_searched
+
+
+def _record_searches(monkeypatch) -> dict:
+    """The key of every component and distance search from here on: the
+    robber's (burned, vertex) and the distance's (source, burned)."""
+    keys: dict = {"component_bitmask": [], "component_after_burn": [], "all_distances_from": []}
+
+    def record(module, name, key):
+        search = getattr(module, name)
+
+        def wrapper(*args):
+            keys[name].append(key(*args))
+            return search(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(engine, "component_bitmask", lambda g, v, burned: (burned, v))
+    record(engine, "component_after_burn", lambda g, burned, u, v, comp_u: (burned, v))
+    record(graph, "all_distances_from", lambda g, u, burned: (u, burned))
+    return keys
+
+
+def test_exhaust_searches_each_component_from_scratch_once_per_start(fam, monkeypatch):
+    """Below a root, a robber crossing updates the parent's component
+    instead of searching the robber's from scratch."""
+    g = fam("hypercube", 4)
+    keys = _record_searches(monkeypatch)
+    v = exhaust_vs_policy(g, HypercubeMirrorCop(g))
+    assert (v.outcome, v.nodes_searched) == ("wins", 14446)
+    starts = [r for r in range(16) if r != 15]  # the cop starts on 15
+    assert keys["component_bitmask"] == [(0, r) for r in starts]
+    assert len(set(keys["component_after_burn"])) == len(keys["component_after_burn"]) > 0
+
+
+@pytest.mark.parametrize(
+    "family, make",
+    [
+        ("cycle", lambda g: GuardStartVertexCop(g, 0)),  # depth-first, the cop pinned
+        ("path", lambda g: FarthestRobber()),  # breadth-first, the robber pinned
+    ],
+    ids=["cop", "robber"],
+)
+def test_exhaust_computes_each_distance_and_component_once_per_call(
+    fam, monkeypatch, family, make
+):
+    """The distance and component memos live for one exhaust_vs_policy
+    call: a second call searches the same keys again, each once."""
+    g = fam(family, 12 if family == "cycle" else 6)
+    policy = make(g)
+    keys = _record_searches(monkeypatch)
+    first = exhaust_vs_policy(g, policy)
+    runs = [{name: searched[:] for name, searched in keys.items()}]
+    for searched in keys.values():
+        searched.clear()
+    second = exhaust_vs_policy(g, policy)
+    runs.append(keys)
+    assert first.to_json_dict() == second.to_json_dict()
+    assert runs[0] == runs[1]
+    components = runs[0]["component_bitmask"] + runs[0]["component_after_burn"]
+    for searched in (components, runs[0]["all_distances_from"]):
+        assert 0 < len(searched) == len(set(searched))
 
 
 def test_exhaust_start_cut_off_from_the_cops_is_an_escape_at_the_root():

@@ -209,7 +209,9 @@ def test_memoized_component_check_matches_fresh(seed):
     components: dict = {}  # one dict for the whole walk
     s = transcript.initial
     for half in transcript.turns:
-        s = Transcript(graph=g, initial=s, turns=[half]).replay()
+        prev, s = s, Transcript(graph=g, initial=s, turns=[half]).replay()
+        parent = prev if s.burned != prev.burned else None  # a robber crossing
         fresh = component_bitmask(g, s.robber, s.burned)
-        assert robber_component_check(g, s, components) == any(fresh >> c & 1 for c in s.cops)
+        caught = any(fresh >> c & 1 for c in s.cops)
+        assert robber_component_check(g, s, components, parent) == caught
         assert components[s.burned, s.robber] == fresh

@@ -1,7 +1,7 @@
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -11,10 +11,14 @@ from bridgeburn.graph import (
     DuplicateEdgeError,
     SelfLoopError,
     VertexRangeError,
+    _refine,
     _search,
     all_degrees_even,
     all_distances_from,
     build_graph,
+    component_after_burn,
+    component_bitmask,
+    distance_memo,
     from_edge_list_text,
     from_json_dict,
     to_edge_list_text,
@@ -88,6 +92,69 @@ def test_bfs_matches_a_queue_bfs_on_random_burned_masks(family, params):
             burned = sum(1 << e for e in range(g.edge_count) if rng.random() < p)
             u = rng.randrange(g.vertex_count)
             assert all_distances_from(g, u, burned) == _queue_bfs(g, u, burned)
+
+
+def _random_tree(n: int, rng: random.Random):
+    return build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("grid", lambda rng: generate(FamilySpec("grid", (4, 5)))),
+        ("torus", lambda rng: generate(FamilySpec("torus", (4, 4)))),
+        ("hypercube", lambda rng: generate(FamilySpec("hypercube", (4,)))),
+        ("cycle", lambda rng: generate(FamilySpec("cycle", (9,)))),
+        ("spider", lambda rng: generate(FamilySpec("spider", (3, 1, 4)))),
+        ("random tree", lambda rng: _random_tree(14, rng)),
+    ],
+)
+def test_component_after_burn_and_distance_memo_along_random_trails(name, make):
+    """Burn random robber trails: each component updated from the one before
+    the crossing must be the one searched from scratch, and the distance
+    memo must give all_distances_from's distances, read-only and once."""
+    rng = random.Random(f"trail:{name}")
+    branches = set()
+    for _ in range(12):
+        g = make(rng)
+        dist = distance_memo(g)
+        u, burned = rng.randrange(g.vertex_count), 0
+        comp_u = component_bitmask(g, u, burned)
+        while True:
+            open_edges = [(v, eid) for v, eid in g.adjacency[u] if not burned >> eid & 1]
+            if not open_edges:
+                break
+            v, eid = rng.choice(open_edges)
+            burned |= 1 << eid
+            comp_v = component_after_burn(g, burned, u, v, comp_u)
+            assert comp_v == component_bitmask(g, v, burned)
+            for x in (u, v):
+                d = dist(x, burned)
+                assert list(d) == all_distances_from(g, x, burned)
+                assert dist(x, burned).obj is d.obj  # computed once
+            with pytest.raises(TypeError):
+                d[0] = 0
+            # Which search ran out first: the smaller side, u's on a tie.
+            if comp_v == comp_u:
+                branches.add("meet")
+            elif 2 * comp_v.bit_count() < comp_u.bit_count():
+                branches.add("v's side ran out")
+            else:
+                branches.add("u's side ran out")
+            u, comp_u = v, comp_v
+    if name in ("spider", "random tree"):  # every edge is a bridge
+        assert branches == {"v's side ran out", "u's side ran out"}
+    else:
+        assert "meet" in branches
+
+
+def test_distance_memo_holds_every_distance_on_large_graphs():
+    """The narrowest typecode that still holds n - 1 and UNREACHABLE."""
+    for n in (128, 129, 1 << 15, (1 << 15) + 1):
+        path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        dist = distance_memo(path)
+        assert dist(0, 0)[n - 1] == n - 1
+        assert dist(0, 1 << n - 2)[n - 1] == UNREACHABLE  # the last edge burned
 
 
 def test_all_degrees_even(fam):
@@ -208,6 +275,48 @@ def test_search_generates_every_automorphism(n):
     for g in connected_graph_classes(n):
         auts = sum(_maps_edges_onto_edges(g, p) for p in itertools.permutations(range(n)))
         assert _group_order(_search(g)[1], n) == auts, g.edges
+
+
+def _leaf_colourings(g) -> dict:
+    """Every leaf of `_search`'s individualisation tree, unpruned, as
+    {leaf colouring: path}; fails on two leaves with one colouring."""
+    nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
+    leaves: dict = {}
+
+    def walk(colour, path):
+        colour = _refine(nbrs, colour)
+        size = Counter(colour)
+        split = [(k, c) for c, k in size.items() if k > 1]
+        if not split:
+            assert tuple(colour) not in leaves, (g.edges, leaves[tuple(colour)], path)
+            leaves[tuple(colour)] = path
+            return
+        c = min(split)[1]
+        for x in [v for v in range(g.vertex_count) if colour[v] == c]:
+            walk(colour[:x] + [len(size)] + colour[x + 1:], path + [x])
+
+    walk([0] * g.vertex_count, [])
+    return leaves
+
+
+# A cubic graph whose individualisation tree has leaves at depths 1 and 2.
+_CUBIC8 = build_graph(8, [(0, 2), (0, 5), (0, 7), (1, 3), (1, 4), (1, 6), (2, 6), (2, 7),
+                          (3, 4), (3, 7), (4, 5), (5, 6)])
+
+
+def test_search_tree_leaves_have_distinct_colourings():
+    """What the guard of `_search`'s third pruning rule rests on: no two
+    leaves of one tree share a colouring, even where leaves lie at
+    different depths."""
+    for n in range(1, 7):
+        for g in connected_graph_classes(n):
+            _leaf_colourings(g)
+    for seed in range(3):
+        g = _relabeled(_CUBIC8, seed)
+        depths = {len(path) for path in _leaf_colourings(g).values()}
+        assert depths == {1, 2}
+        auts = sum(_maps_edges_onto_edges(g, p) for p in itertools.permutations(range(8)))
+        assert _group_order(_search(g)[1], 8) == auts
 
 
 @pytest.mark.parametrize("family, params", [("hypercube", (6,)), ("torus", (8, 8))])

@@ -16,7 +16,7 @@ from bridgeburn.engine import (
     is_capture,
 )
 from bridgeburn.families import FamilySpec, generate, grid_coords, grid_vertex
-from bridgeburn.graph import all_distances_from, build_graph
+from bridgeburn.graph import all_distances_from, build_graph, distance_memo
 from bridgeburn.strategies import (
     CornerIsolateRobber,
     Degree4IsolateRobber,
@@ -183,7 +183,8 @@ def test_mirror_rejects_inconsistent_pstate(fam):
     # one more; cop 0 and robber 3 differ in dimensions 0 and 1 only.
     g = fam("hypercube", 3)
     with pytest.raises(PolicyStateError, match="mirror invariant"):
-        HypercubeMirrorCop(g).choose(g, GameState(0, (0,), 3, COP_TURN), (2, 3, 3))
+        HypercubeMirrorCop(g).choose(
+            g, GameState(0, (0,), 3, COP_TURN), (2, 3, 3), distance_memo(g))
 
 
 def test_mirror_accepts_q0():
@@ -230,7 +231,7 @@ def test_match_round_limit(fam):
 
 def test_illegal_policy_move_is_hard_error(fam):
     class BadCop(StationaryCop):
-        def choose(self, g, state, pstate):
+        def choose(self, g, state, pstate, dist):
             return (state.robber,), pstate  # teleports
 
     g = fam("path", 5)
@@ -326,9 +327,10 @@ def test_degree4_runs_figure_loop(fam):
     ]
     state = GameState(0, cops, start, COP_TURN)
     walk = []
+    dist = distance_memo(g)
     for _ in range(8):
         state = GameState(state.burned, state.cops, state.robber, 1)  # robber to move
-        dest, ps = pol.choose(g, state, ps)
+        dest, ps = pol.choose(g, state, ps, dist)
         eid = g.edge_id(state.robber, dest)
         state = GameState(state.burned | (1 << eid), state.cops, dest, COP_TURN)
         walk.append(dest)
@@ -519,10 +521,11 @@ def test_cop_policies_emit_legal_moves(fam, seed):
         r = rnd.choice(starts)
         state = GameState(0, cops, r, COP_TURN)
         ps = pol.initial_pstate(g, cops, r)
+        dist = distance_memo(g)
         for _ in range(25):
             if is_capture(state):
                 break
-            dests, ps = pol.choose(g, state, ps)
+            dests, ps = pol.choose(g, state, ps, dist)
             state, _ = apply_cop_moves(g, state, dests)
             if is_capture(state):
                 break
@@ -546,13 +549,14 @@ def test_robber_policies_emit_legal_moves(fam, seed):
         r, ps = pol.robber_start(g, cops)
         assert 0 <= r < g.vertex_count and r not in cops
         state = GameState(0, cops, r, COP_TURN)
+        dist = distance_memo(g)
         for _ in range(25):
             # random legal cop move
             dests = tuple(rnd.choice(cop_move_options(g, state.burned, c)) for c in state.cops)
             state, _ = apply_cop_moves(g, state, dests)
             if is_capture(state):
                 break
-            to, ps = pol.choose(g, state, ps)
+            to, ps = pol.choose(g, state, ps, dist)
             state, _ = apply_robber_move(g, state, to)
             if is_capture(state):
                 break
