@@ -11,29 +11,37 @@ every move (and optionally every placement) of the free side:
   is reachable, and breadth-first order yields an earliest-capture
   counterexample transcript.
 
-Nodes are (game state, policy internal state) pairs, which keeps the
-memoization sound for stateful policies.
+Nodes are (key, policy internal state) pairs, where the key is the
+state packed into one int by engine.PackedGame (one PackedGame per
+search, for its k cops).  The node is the memo key of both searches,
+which keeps the memoization sound for stateful policies; `canonical` is
+never applied, because a policy sees the whole burned mask.
 
-The arena holds no rules of its own: a policy's move is applied by the
-engine's apply_cop_moves / apply_robber_move, and the free side's moves
-are the engine's cop_successors / robber_successors, which apply theirs
-the same way.  Both searches expand a node through one function,
-_children: the pinned side's one move on its turn, else every successor.
-A robber policy's `robber_start` gives its start vertex and initial
-state in one call per play, so nothing a placement decides outlives that
-play.  Every placement is checked against the graph before play from it
-starts: free-side placements before the search, a cop policy's cops
-before the robber policy sees them, then the robber's vertex.
+The arena holds no rules of its own.  The free side's moves are
+PackedGame.cop_successors / robber_successors on the key, in the order of
+the GameState lists.  On the pinned side's turn the key is decoded only
+to call the policy's choose; its move is applied by the engine's
+apply_cop_moves / apply_robber_move, the only legality check, and the
+result is encoded again.  Both searches expand a node through one
+function, made by _expander.  A robber policy's `robber_start` gives its
+start vertex and initial state in one call per play, so nothing a
+placement decides outlives that play.  Every placement is checked against
+the graph before play from it starts: free-side placements (their size
+too) before the search, a cop policy's cops before the robber policy
+sees them, then the robber's vertex.
 
-Each exhaustive search keeps one dict, for that exhaust_vs_policy call
-only, from (burned mask, robber vertex) to the robber's component, and
-answers every escape check from it through robber_component_check.  That
-is sound because the component depends on nothing else.  The check runs
-only on a search's root and after a robber crossing: a cop move or a
-robber who stays changes neither the burned mask nor the robber's
-component, and a cop cannot leave its own component, so such a child
-keeps its parent's answer.  So the parent of a crossing always has its
-key in the dict, and a crossing's component comes from the parent's by
+The checks read the key.  Capture is PackedGame.kind, which gives CAPTURED
+or the phase on these keys, since no cop is at the sentinel.  A crossing
+is a child whose robber-and-burned bits differ from its parent's.  The
+escape check is engine.packed_component_check, which keeps one dict per
+exhaust_vs_policy call from (burned mask, robber vertex) to the robber's
+component, as robber_component_check does.  That is sound because the
+component depends on nothing else.  The check runs only on a search's
+root and after a robber crossing: a cop move or a robber who stays
+changes neither the burned mask nor the robber's component, and a cop
+cannot leave its own component, so such a child keeps its parent's
+answer.  So the parent of a crossing always has its key in the dict, and
+a crossing's component comes from the parent's by
 graph.component_after_burn, which searches only until the crossed edge's
 ends meet or the smaller side of a split is found.  Only a root's
 component is searched from scratch.  The memo gains at most one entry per
@@ -50,8 +58,9 @@ budget bounds it as well.
 
 The searches store no move records.  The breadth-first search keeps each
 node's parent node, and the depth-first search's stack is the path to
-the node it is on.  Only a counterexample's path gets its records,
-re-derived half-turn by half-turn through the engine by _records.
+the node it is on.  Only a counterexample's path is decoded and gets its
+records, re-derived half-turn by half-turn by _records through the
+GameState lists, as run_match plays.
 """
 
 from __future__ import annotations
@@ -61,15 +70,19 @@ from collections import deque
 from dataclasses import dataclass
 
 from .engine import (
+    CAPTURED,
     COP_TURN,
     GameState,
     IllegalMoveError,
     Outcome,
+    ROBBER_TURN,
+    PackedGame,
     Transcript,
     apply_cop_moves,
     apply_robber_move,
     cop_successors,
     is_capture,
+    packed_component_check,
     robber_component_check,
     robber_successors,
 )
@@ -181,7 +194,8 @@ def exhaust_vs_policy(
     policy that declines a cop placement raises PolicyApplicabilityError
     naming it.  The verdict's counterexample is the earliest loss by round
     (fixed robber) or the first refutation in search order (fixed cop).
-    k_cops is the free cops' count, so it must be 1 when the cop is pinned.
+    k_cops is the free cops' count: every given cop placement must have
+    that many cops, and it must be 1 when the cop is pinned.
     """
     if k_cops < 1:
         raise ValueError(f"k_cops must be at least 1, got {k_cops}")
@@ -197,10 +211,16 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
         placements = itertools.combinations_with_replacement(range(g.vertex_count), k_cops)
     else:
         placements = dict.fromkeys(_take_cops(g, p) for p in placements)
+        for cops in placements:
+            if len(cops) != k_cops:
+                raise ValueError(f"cop placement {cops} has {len(cops)} cops, but k_cops={k_cops}")
+    game = PackedGame(g, k_cops)
+    kind, shift = game.kind, game.robber_shift
     nodes = 0
     components: dict[tuple[int, int], int] = {}
     dist = distance_memo(g)
-    best: tuple[int, Transcript] | None = None  # (capture half-depth, transcript)
+    children = _expander(g, game, fixed, dist)
+    best: tuple[int, list] | None = None  # (capture half-depth, path of nodes)
     for cops in placements:
         try:
             r0, ps0 = fixed.robber_start(g, cops)
@@ -213,7 +233,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             tr = Transcript(graph=g, initial=init, outcome=Outcome("cop_win", round=0))
             return Verdict("beaten", nodes + 1, tr)
         # BFS by half-turns; cop branches, robber move pinned by the policy.
-        root = (init, ps0)
+        root = (game.encode(init), ps0)
         seen = {root: None}  # node -> its parent node
         frontier: deque = deque([(root, 0)])
         while frontier:
@@ -223,27 +243,28 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
-            state = node[0]
-            if depth == 0 and not robber_component_check(g, state, components):
+            key = node[0]
+            if depth == 0 and not packed_component_check(game, key, components):
                 break  # the robber starts cut off from every cop
-            for child in _children(g, fixed, node, dist):
+            high = key >> shift
+            for child in children(node):
                 if child in seen:
                     continue
                 seen[child] = node
-                nstate = child[0]
-                if is_capture(nstate):
+                ckey = child[0]
+                if kind(ckey) == CAPTURED:
                     if best is None or depth + 1 < best[0]:
-                        tr = _transcript(g, fixed, _path(seen, child), dist)
-                        tr.outcome = Outcome("cop_win", round=(depth + 2) // 2)
-                        best = (depth + 1, tr)
+                        best = (depth + 1, _path(seen, child))
                     continue
-                crossed = nstate.burned != state.burned
-                if crossed and not robber_component_check(g, nstate, components, state):
+                crossed = ckey >> shift != high
+                if crossed and not packed_component_check(game, ckey, components, key):
                     continue  # escaped: the fixed robber wins this branch
                 frontier.append((child, depth + 1))
     if best is None:
         return Verdict("wins", nodes)
-    return Verdict("beaten", nodes, best[1])
+    tr = _transcript(g, game, fixed, best[1], dist)
+    tr.outcome = Outcome("cop_win", round=(best[0] + 1) // 2)
+    return Verdict("beaten", nodes, tr)
 
 
 _GRAY, _DONE = 1, 2
@@ -257,9 +278,12 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
         starts = list(placements)
         for r0 in starts:
             check_vertex(g, r0)
+    game = PackedGame(g, len(cops))
+    kind, shift = game.kind, game.robber_shift
     nodes = 0
     components: dict[tuple[int, int], int] = {}
     dist = distance_memo(g)
+    children = _expander(g, game, fixed, dist)
     # Iterative DFS; the stack is the path from the root.  A child that is
     # _GRAY is on that path, so the robber can loop forever, beating the
     # cop policy.
@@ -268,7 +292,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
         init = GameState(0, cops, r0, COP_TURN)
         if is_capture(init):
             continue
-        root = (init, fixed.initial_pstate(g, cops, r0))
+        root = (game.encode(init), fixed.initial_pstate(g, cops, r0))
         if root in status:
             continue  # a repeated start
         stack: list[tuple] = [(root, None)]  # (node, child iterator)
@@ -278,21 +302,21 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                 nodes += 1
                 if budget is not None and nodes > budget:
                     raise BudgetExceeded(nodes)
-                state = node[0]
-                if is_capture(state):
+                key = node[0]
+                if kind(key) == CAPTURED:
                     status[node] = _DONE
                     stack.pop()
                     continue
                 # Below the root, only a robber crossing can cut him off;
                 # the node under this one on the stack is its parent.
                 parent = stack[-2][0][0] if len(stack) > 1 else None
-                fresh = parent is None or state.burned != parent.burned
-                if fresh and not robber_component_check(g, state, components, parent):
-                    tr = _transcript(g, fixed, [n for n, _ in stack], dist)
+                fresh = parent is None or key >> shift != parent >> shift
+                if fresh and not packed_component_check(game, key, components, parent):
+                    tr = _transcript(g, game, fixed, [n for n, _ in stack], dist)
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)
                 status[node] = _GRAY
-                it = iter(_children(g, fixed, node, dist))
+                it = iter(children(node))
                 stack[-1] = (node, it)
             child = next(it, None)
             if child is None:
@@ -304,33 +328,43 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                 stack.append((child, None))
             elif mark == _GRAY:
                 # child is on the path to node: close the loop back to it
-                tr = _transcript(g, fixed, [n for n, _ in stack] + [child], dist)
+                tr = _transcript(g, game, fixed, [n for n, _ in stack] + [child], dist)
                 tr.outcome = Outcome("robber_escape", reason="repeatable position")
                 return Verdict("beaten", nodes, tr)
     return Verdict("wins", nodes)
 
 
-def _pinned_turn(fixed, state) -> bool:
-    return (state.phase == COP_TURN) == (fixed.side == "cop")
+def _pinned_turn(fixed, phase: int) -> bool:
+    return (phase == COP_TURN) == (fixed.side == "cop")
 
 
-def _children(g, fixed, node, dist) -> list:
-    """Child nodes: the pinned policy's one move on its side's turn, else
-    every engine successor of the free side."""
-    state, ps = node
-    if _pinned_turn(fixed, state):
-        move, nps = fixed.choose(g, state, ps, dist)
-        return [(_policy_move(fixed, g, state, move)[0], nps)]
-    if state.phase == COP_TURN:
-        return [(t, ps) for (t, _) in cop_successors(g, state)]
-    return [(t, ps) for (t, _) in robber_successors(g, state)]
+def _expander(g, game, fixed, dist):
+    """The search's children(node): the pinned policy's one move on its
+    side's turn, applied to the decoded state, else every packed successor
+    of the free side."""
+    if fixed.side == "cop":
+        pinned, free = COP_TURN, game.robber_successors
+    else:
+        pinned, free = ROBBER_TURN, game.cop_successors
+    decode, encode, choose = game.decode, game.encode, fixed.choose
+
+    def children(node) -> list:
+        key, ps = node
+        if key & 1 != pinned:
+            return [(t, ps) for t in free(key)]
+        state = decode(key)
+        move, nps = choose(g, state, ps, dist)
+        return [(encode(_policy_move(fixed, g, state, move)[0]), nps)]
+
+    return children
 
 
 def _records(g, fixed, node, child, dist) -> list:
-    """The move records of the half-turn from node to child, re-derived the
-    way _children made it; policies are pure, so choose repeats its move."""
+    """The move records of the half-turn from node to child, both decoded,
+    re-derived through the engine; policies are pure, so choose repeats its
+    move."""
     state = node[0]
-    if _pinned_turn(fixed, state):
+    if _pinned_turn(fixed, state.phase):
         move, _ = fixed.choose(g, state, node[1], dist)
         return _policy_move(fixed, g, state, move)[1]
     if state.phase == COP_TURN:
@@ -348,7 +382,8 @@ def _path(parent, node) -> list:
     return path
 
 
-def _transcript(g, fixed, path, dist) -> Transcript:
-    """The transcript of a path of nodes; only a counterexample needs one."""
+def _transcript(g, game, fixed, path, dist) -> Transcript:
+    """The transcript of a path of nodes; only a counterexample's is decoded."""
+    path = [(game.decode(key), ps) for key, ps in path]
     turns = [_records(g, fixed, a, b, dist) for a, b in zip(path, path[1:])]
     return Transcript(graph=g, initial=path[0][0], turns=turns)

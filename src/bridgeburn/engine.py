@@ -8,12 +8,16 @@ checked after every half-turn and ends the game immediately.
 
 `apply_cop_moves` and `apply_robber_move` are the only legality check:
 the arena, `Transcript.replay`, `cop_successors` and `robber_successors`
-apply every move through them.  `cop_successors` and `robber_successors`
-are the only lists of a side's moves; the arena's free side and the
-solver's strategy walk expand through them.  The scripted policies ask
-`cop_move_options` which moves are open before they choose one, and the
-arena still applies whatever they return through `apply_*`, which remain
-the only enforcement.
+apply every move through them.  A side's moves are listed twice, on the
+same rules and in the same order: `cop_successors` / `robber_successors`
+on GameStates, with move records, and `PackedGame.cop_successors` /
+`robber_successors` on states packed into one int.  The solver's search
+and the arena's exhaustive searches (their free side) expand through the
+packed lists; `run_match`, the arena's counterexample records and the
+solver's strategy walk (`extract_strategy`) use the GameState lists.  The
+scripted policies ask `cop_move_options` which moves are open before they
+choose one, and the arena still applies whatever they return through
+`apply_*`, which remain the only enforcement.
 """
 
 from __future__ import annotations
@@ -178,16 +182,44 @@ def robber_component_check(
     """
     if components is None:
         components = {}
-    key = (s.burned, s.robber)
+    before = None if parent is None else (parent.burned, parent.robber)
+    comp = _robber_component(g, components, s.burned, s.robber, before)
+    return any(comp >> c & 1 for c in s.cops)
+
+
+def packed_component_check(
+    game: "PackedGame",
+    key: int,
+    components: dict[tuple[int, int], int],
+    parent: int | None = None,
+) -> bool:
+    """robber_component_check on a PackedGame key, with the same memo.
+
+    `parent` is the key that key follows when the robber has just crossed
+    an edge, under the same condition as robber_component_check's.
+    """
+    shift, w, m = game.robber_shift, game.width, game.vertex_mask
+    high = key >> shift
+    before = None if parent is None else (parent >> shift + w, parent >> shift & m)
+    comp = _robber_component(game.g, components, high >> w, high & m, before)
+    for cop_shift in game.cop_shifts:
+        if comp >> (key >> cop_shift & m) & 1:
+            return True
+    return False
+
+
+def _robber_component(g, components, burned, robber, before) -> int:
+    """The robber's component, memoized by (burned, robber) in components;
+    `before` is the parent's key there when the robber has just crossed."""
+    key = (burned, robber)
     comp = components.get(key)
     if comp is None:
-        if parent is None:
-            comp = component_bitmask(g, s.robber, s.burned)
+        if before is None:
+            comp = component_bitmask(g, robber, burned)
         else:
-            comp_u = components[parent.burned, parent.robber]
-            comp = component_after_burn(g, s.burned, parent.robber, s.robber, comp_u)
+            comp = component_after_burn(g, burned, before[1], robber, components[before])
         components[key] = comp
-    return any(comp >> c & 1 for c in s.cops)
+    return comp
 
 
 # --- packed states -----------------------------------------------------------
@@ -245,12 +277,19 @@ class PackedGame:
     def decode(self, key: int) -> GameState:
         """The GameState of a key; a sentinel cop decodes as vertex n."""
         high = key >> self.robber_shift
-        return GameState(
-            high >> self.width, tuple(self.cops(key)), high & self.vertex_mask, key & 1
-        )
+        m = self.vertex_mask
+        if self.k == 1:  # direct, as in cop_successors
+            cops = (key >> 1 & m,)
+        elif self.k == 2:
+            cops = (key >> 1 & m, key >> self.cop_shifts[1] & m)
+        else:
+            cops = tuple(self.cops(key))
+        return GameState(high >> self.width, cops, high & m, key & 1)
 
     def cop_successors(self, key: int) -> list[int]:
-        """RobberTurn keys of every cop-team move, deduplicated."""
+        """RobberTurn keys of every cop-team move, deduplicated, in the order of
+        the module-level cop_successors: each multiset where the product of
+        the cops' options first reaches it."""
         burned = key >> (self.robber_shift + self.width)
         head = key >> self.robber_shift << self.robber_shift | ROBBER_TURN
         options = []
@@ -268,11 +307,11 @@ class PackedGame:
         if self.k == 2:
             (first, second), s = options, self.cop_shifts[1]
             return list({
-                head | (a << 1 | b << s if a <= b else b << 1 | a << s)
+                head | (a << 1 | b << s if a <= b else b << 1 | a << s): None
                 for a in first
                 for b in second
             })
-        return list({head | self.pack_cops(m) for m in itertools.product(*options)})
+        return list({head | self.pack_cops(m): None for m in itertools.product(*options)})
 
     def robber_successors(self, key: int) -> list[int]:
         """CopTurn keys of the robber's stay, then one per unburned incident edge."""

@@ -129,6 +129,17 @@ def test_exhaust_rejects_k_cops_beside_a_pinned_cop(fam):
     assert exhaust_vs_policy(g, cop, k_cops=1).wins_always
 
 
+def test_exhaust_rejects_a_cop_placement_of_another_size_than_k_cops(fam):
+    g = fam("path", 6)
+    with pytest.raises(ValueError, match=r"cop placement \(0, 5\) has 2 cops, but k_cops=1"):
+        exhaust_vs_policy(g, FarthestRobber(), [(0, 5)])
+    with pytest.raises(ValueError, match=r"cop placement \(2,\) has 1 cops, but k_cops=2"):
+        exhaust_vs_policy(g, FarthestRobber(), [(0, 5), (2,)], k_cops=2)
+    v = exhaust_vs_policy(g, FarthestRobber(), [(0, 5)], k_cops=2)
+    assert v.outcome == "beaten"
+    assert (v.counterexample.initial.cops, v.counterexample.outcome.kind) == ((0, 5), "cop_win")
+
+
 def test_exhaust_placement_restriction(fam):
     g = fam("path", 6)
     # a greedy cop starting on v3 still catches a robber who begins adjacent
@@ -174,13 +185,13 @@ def test_exhaust_checks_the_escape_only_after_a_robber_crossing(fam, monkeypatch
     policy, k = make(g)
     plain = exhaust_vs_policy(g, policy, k_cops=k)
     calls = []
-    check = arena.robber_component_check
+    check = arena.packed_component_check
 
     def counted(*args):
         calls.append(args)
         return check(*args)
 
-    monkeypatch.setattr(arena, "robber_component_check", counted)
+    monkeypatch.setattr(arena, "packed_component_check", counted)
     v = exhaust_vs_policy(g, policy, k_cops=k)
     assert v.to_json_dict() == plain.to_json_dict()
     assert 0 < len(calls) < v.nodes_searched
@@ -339,6 +350,35 @@ def test_exhaust_budget_exceeded_with_the_cop_pinned(fam):
     assert exhaust_vs_policy(g, cop, [1, 3], budget=nodes).wins_always
     with pytest.raises(BudgetExceeded):
         exhaust_vs_policy(g, cop, [1, 3], budget=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "family, n, make, k",
+    [
+        ("hypercube", 3, lambda g: HypercubeMirrorCop(g), 1),  # wins: no counterexample
+        ("path", 6, lambda g: FarthestRobber(), 2),  # beaten by a one-round capture
+    ],
+    ids=["cop", "robber"],
+)
+def test_exhaust_lists_moves_on_states_only_for_the_counterexample(
+    fam, monkeypatch, family, n, make, k
+):
+    """The free side expands through PackedGame; the GameState successor
+    lists only rebuild a counterexample's records, one call per free
+    half-turn of it."""
+    g = fam(family, n)
+    calls = []
+    for name in ("cop_successors", "robber_successors"):
+        listed = getattr(arena, name)
+        monkeypatch.setattr(
+            arena, name, lambda g, s, *a, listed=listed: calls.append(s) or listed(g, s, *a)
+        )
+    policy = make(g)
+    v = exhaust_vs_policy(g, policy, k_cops=k)
+    turns = v.counterexample.turns if v.counterexample else []
+    # the robber's half-turns are free when the cop is pinned, and vice versa
+    free = [half for half in turns if (half[0].actor == engine.ROBBER) == (policy.side == "cop")]
+    assert len(calls) == len(free) < v.nodes_searched
 
 
 def test_arena_lists_no_moves_itself():

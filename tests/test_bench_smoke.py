@@ -17,8 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("solve-refute", 0), ("solve-refute", 1), ("solve-copwin", 0), ("exhaust-policy", 0)],
-    ids=["0", "1", "copwin-0", "exhaust-0"],
+    [("solve-refute", 0), ("solve-refute", 1), ("solve-copwin", 0), ("exhaust-policy", 0),
+     ("exhaust-policy", 1)],
+    ids=["0", "1", "copwin-0", "exhaust-0", "exhaust-1"],
 )
 def test_bench_run_completes(workload, trace):
     # Every operation's answer is checked, so this also holds each solve
