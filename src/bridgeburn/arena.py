@@ -18,29 +18,27 @@ which keeps the memoization sound for stateful policies; `canonical` is
 never applied, because a policy sees the whole burned mask.
 
 The arena holds no rules of its own.  The free side's moves are
-PackedGame.cop_successors / robber_successors on the key, in the order of
-the GameState lists.  On the pinned side's turn the key is decoded only
-to call the policy's choose; its move is applied by the engine's
-apply_cop_moves / apply_robber_move, the only legality check, and the
-result is encoded again.  Both searches expand a node through one
-function, made by _expander.  A robber policy's `robber_start` gives its
-start vertex and initial state in one call per play, so nothing a
-placement decides outlives that play.  Every placement is checked against
-the graph before play from it starts: free-side placements (their size
-too) before the search, a cop policy's cops before the robber policy
-sees them, then the robber's vertex.
+PackedGame.cop_successors / robber_successors on the key.  On the pinned
+side's turn the key is decoded only to call the policy's choose; its move
+is applied by the engine's apply_cop_moves / apply_robber_move, the only
+legality check, and the result is encoded again.  Both searches expand a
+node through one function, made by _expander.  A robber policy's
+`robber_start` gives its start vertex and initial state in one call per
+play, so nothing a placement decides outlives that play.  Every
+placement is checked against the graph before play from it starts:
+free-side placements (their size too) before the search, a cop policy's
+cops before the robber policy sees them, then the robber's vertex.
 
 The checks read the key.  Capture is PackedGame.kind, which gives CAPTURED
 or the phase on these keys, since no cop is at the sentinel.  A crossing
 is a child whose robber-and-burned bits differ from its parent's.  The
 escape check is engine.packed_component_check, which keeps one dict per
 exhaust_vs_policy call from (burned mask, robber vertex) to the robber's
-component, as robber_component_check does.  That is sound because the
-component depends on nothing else.  The check runs only on a search's
-root and after a robber crossing: a cop move or a robber who stays
-changes neither the burned mask nor the robber's component, and a cop
-cannot leave its own component, so such a child keeps its parent's
-answer.  So the parent of a crossing always has its key in the dict, and
+component.  That is sound because the component depends on nothing else.
+The check runs only on a search's root and after a robber crossing: a
+cop move or a robber who stays changes neither the burned mask nor the
+robber's component, and a cop cannot leave its own component, so such a
+child keeps its parent's answer.  So the parent of a crossing always has its key in the dict, and
 a crossing's component comes from the parent's by
 graph.component_after_burn, which searches only until the crossed edge's
 ends meet or the smaller side of a split is found.  Only a root's
@@ -59,8 +57,10 @@ budget bounds it as well.
 The searches store no move records.  The breadth-first search keeps each
 node's parent node, and the depth-first search's stack is the path to
 the node it is on.  Only a counterexample's path is decoded and gets its
-records, re-derived half-turn by half-turn by _records through the
-GameState lists, as run_match plays.
+records, re-derived half-turn by half-turn by _records through apply_*,
+as run_match plays: a free robber's move is its new vertex, and a free
+cop team's is engine.cop_dests of its new multiset, the first move tuple
+in the order PackedGame lists the moves.
 """
 
 from __future__ import annotations
@@ -80,11 +80,10 @@ from .engine import (
     Transcript,
     apply_cop_moves,
     apply_robber_move,
-    cop_successors,
+    cop_dests,
     is_capture,
     packed_component_check,
     robber_component_check,
-    robber_successors,
 )
 from .graph import Graph, check_vertex, distance_memo
 from .solver import BudgetExceeded
@@ -368,8 +367,8 @@ def _records(g, fixed, node, child, dist) -> list:
         move, _ = fixed.choose(g, state, node[1], dist)
         return _policy_move(fixed, g, state, move)[1]
     if state.phase == COP_TURN:
-        return next(records for (t, records) in cop_successors(g, state) if t == child[0])
-    return next([record] for (t, record) in robber_successors(g, state) if t == child[0])
+        return apply_cop_moves(g, state, cop_dests(g, state, child[0].cops))[1]
+    return [apply_robber_move(g, state, child[0].robber)[1]]
 
 
 def _path(parent, node) -> list:

@@ -7,17 +7,17 @@ edge for both sides.  Capture (any cop sharing the robber's vertex) is
 checked after every half-turn and ends the game immediately.
 
 `apply_cop_moves` and `apply_robber_move` are the only legality check:
-the arena, `Transcript.replay`, `cop_successors` and `robber_successors`
-apply every move through them.  A side's moves are listed twice, on the
-same rules and in the same order: `cop_successors` / `robber_successors`
-on GameStates, with move records, and `PackedGame.cop_successors` /
-`robber_successors` on states packed into one int.  The solver's search
-and the arena's exhaustive searches (their free side) expand through the
-packed lists; `run_match`, the arena's counterexample records and the
-solver's strategy walk (`extract_strategy`) use the GameState lists.  The
-scripted policies ask `cop_move_options` which moves are open before they
-choose one, and the arena still applies whatever they return through
-`apply_*`, which remain the only enforcement.
+`run_match`, the arena's pinned policies, counterexample records and
+`Transcript.replay` apply every move through them.  `PackedGame` is the
+only list of a side's moves, on states packed into one int: the solver's
+search, its strategy walk (`extract_strategy`) and the arena's
+exhaustive searches all expand through `PackedGame.cop_successors` /
+`robber_successors`.  A counterexample's cop half-turn gets its records
+from `cop_dests`, which finds the move tuple behind a cop multiset in the
+order those lists use.  The scripted policies ask `cop_move_options`
+which moves are open before they choose one, and the arena still applies
+whatever they return through `apply_*`, which remain the only
+enforcement.
 """
 
 from __future__ import annotations
@@ -88,19 +88,18 @@ def cop_move_options(g: Graph, burned: int, c: int) -> list[int]:
     return opts
 
 
-def cop_successors(g: Graph, s: GameState) -> list[tuple[GameState, list[MoveRecord]]]:
-    """Every one-turn cop-team move, one (state, records) pair per cop multiset.
+def cop_dests(g: Graph, s: GameState, cops) -> tuple[int, ...]:
+    """The cop move tuple behind the half-turn from s to the multiset `cops`.
 
-    Cops move simultaneously and independently; two cops may swap across
-    one edge.  Each pair is `apply_cop_moves` of the first move tuple, in
-    product order, that reaches its multiset.
+    It is the first tuple, in product order of the cops' `cop_move_options`,
+    whose sorted multiset is `cops`, so two cops that keep their places stay
+    rather than swap.  IllegalMoveError if no move reaches `cops`.
     """
-    out: dict[tuple[int, ...], tuple[GameState, list[MoveRecord]]] = {}
+    want = tuple(sorted(cops))
     for combo in itertools.product(*(cop_move_options(g, s.burned, c) for c in s.cops)):
-        cops = tuple(sorted(combo))
-        if cops not in out:
-            out[cops] = apply_cop_moves(g, s, combo)
-    return list(out.values())
+        if tuple(sorted(combo)) == want:
+            return combo
+    raise IllegalMoveError(f"no cop move takes {s.cops} to {want}")
 
 
 def _unburned_edge(g: Graph, burned: int, frm: int, to: int, who: str) -> int:
@@ -153,37 +152,13 @@ def apply_robber_move(
     return GameState(burned, s.cops, to, COP_TURN), MoveRecord(ROBBER, r, to, eid)
 
 
-def robber_successors(
-    g: Graph, s: GameState, variant: Variant = BRIDGE_BURNING
-) -> list[tuple[GameState, MoveRecord]]:
-    """Stay, plus one successor per unburned incident edge."""
-    return [apply_robber_move(g, s, y, variant) for y in cop_move_options(g, s.burned, s.robber)]
-
-
-def robber_component_check(
-    g: Graph,
-    s: GameState,
-    components: dict[tuple[int, int], int] | None = None,
-    parent: GameState | None = None,
-) -> bool:
+def robber_component_check(g: Graph, s: GameState) -> bool:
     """True iff some cop still shares the robber's component.
 
     False means the robber has escaped permanently: burning only ever
     splits components further, so no cop can ever reach him again.
-
-    `components` maps (burned, robber) to the robber's component bitmask
-    on g.  A caller checking many states of one game passes the same dict
-    to every call, and each component is computed once; without it the
-    component is computed afresh.  `parent` is the state s follows when
-    the robber has just crossed from parent.robber to s.robber, burning
-    that one edge; its key must be in `components`, and a component not
-    there yet is then updated from the parent's by `component_after_burn`
-    instead of searched from scratch.
     """
-    if components is None:
-        components = {}
-    before = None if parent is None else (parent.burned, parent.robber)
-    comp = _robber_component(g, components, s.burned, s.robber, before)
+    comp = component_bitmask(g, s.robber, s.burned)
     return any(comp >> c & 1 for c in s.cops)
 
 
@@ -193,33 +168,33 @@ def packed_component_check(
     components: dict[tuple[int, int], int],
     parent: int | None = None,
 ) -> bool:
-    """robber_component_check on a PackedGame key, with the same memo.
+    """robber_component_check on a PackedGame key, memoized.
 
+    `components` maps (burned, robber) to the robber's component bitmask
+    on the game's graph.  A caller checking many keys of one game passes
+    the same dict to every call, and each component is computed once.
     `parent` is the key that key follows when the robber has just crossed
-    an edge, under the same condition as robber_component_check's.
+    from the parent's robber vertex to key's, burning that one edge; the
+    parent's (burned, robber) must be in `components`, and a component not
+    there yet is then updated from the parent's by `component_after_burn`
+    instead of searched from scratch.
     """
     shift, w, m = game.robber_shift, game.width, game.vertex_mask
     high = key >> shift
-    before = None if parent is None else (parent >> shift + w, parent >> shift & m)
-    comp = _robber_component(game.g, components, high >> w, high & m, before)
+    burned, robber = high >> w, high & m
+    comp = components.get((burned, robber))
+    if comp is None:
+        if parent is None:
+            comp = component_bitmask(game.g, robber, burned)
+        else:
+            before = parent >> shift
+            prev = components[before >> w, before & m]
+            comp = component_after_burn(game.g, burned, before & m, robber, prev)
+        components[burned, robber] = comp
     for cop_shift in game.cop_shifts:
         if comp >> (key >> cop_shift & m) & 1:
             return True
     return False
-
-
-def _robber_component(g, components, burned, robber, before) -> int:
-    """The robber's component, memoized by (burned, robber) in components;
-    `before` is the parent's key there when the robber has just crossed."""
-    key = (burned, robber)
-    comp = components.get(key)
-    if comp is None:
-        if before is None:
-            comp = component_bitmask(g, robber, burned)
-        else:
-            comp = component_after_burn(g, burned, before[1], robber, components[before])
-        components[key] = comp
-    return comp
 
 
 # --- packed states -----------------------------------------------------------
@@ -234,8 +209,8 @@ class PackedGame:
         phase (1 bit) | k cops in ascending order (w bits each) | robber (w bits) | burned mask
 
     Vertex n is a sentinel with no moves; only `canonical` puts cops there.
-    `cop_successors` and `robber_successors` are the module-level rules
-    computed on keys from per-vertex (neighbour, edge-bit) tables.
+    `cop_successors` and `robber_successors` list the moves of the rules
+    above, computed on keys from per-vertex (neighbour, edge-bit) tables.
     """
 
     def __init__(self, g: Graph, k: int, variant: Variant = BRIDGE_BURNING):
@@ -287,9 +262,13 @@ class PackedGame:
         return GameState(high >> self.width, cops, high & m, key & 1)
 
     def cop_successors(self, key: int) -> list[int]:
-        """RobberTurn keys of every cop-team move, deduplicated, in the order of
-        the module-level cop_successors: each multiset where the product of
-        the cops' options first reaches it."""
+        """RobberTurn keys of every cop-team move, one per cop multiset.
+
+        Cops move simultaneously and independently; two cops may swap
+        across one edge.  Each multiset comes where the product of the
+        cops' options (stay first, then neighbours in adjacency order)
+        first reaches it, the order `cop_dests` searches.
+        """
         burned = key >> (self.robber_shift + self.width)
         head = key >> self.robber_shift << self.robber_shift | ROBBER_TURN
         options = []

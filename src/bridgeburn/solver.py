@@ -73,13 +73,13 @@ from .engine import (
     GameState,
     PackedGame,
     Variant,
-    cop_successors,
-    is_capture,
-    robber_successors,
 )
 from .graph import Graph, check_vertex, is_connected, vertex_orbits
 
 DEFAULT_BUDGET = 10**7
+
+# extract_strategy's move lists; bench/tracer.py patches these names.
+cop_successors, robber_successors = PackedGame.cop_successors, PackedGame.robber_successors
 
 
 class BudgetExceeded(Exception):
@@ -294,38 +294,44 @@ def extract_strategy(
 
     The quotient space is grown as for `solve_position`, up to the first
     horizon above the root's rank; the strategy is then read off by
-    walking real states forward: the chosen cop move, and every robber
-    reply.  The result maps each CopTurn state of that walk to its move.
-    The chosen move minimizes the attractor rank, ties broken by smallest
-    successor state, so the mapping is deterministic.  The walk stays
-    inside that horizon, where ranks are exact, so the fully expanded
-    space would give the same strategy.
+    walking real (not canonical) packed keys forward: the chosen cop move,
+    and every robber reply.  The result maps each CopTurn state of that
+    walk to its move, both decoded.  The chosen move minimizes the
+    attractor rank, ties broken by the smallest sorted cop tuple, so the
+    mapping is deterministic.  The walk stays inside that horizon, where
+    ranks are exact, so the fully expanded space would give the same
+    strategy.
     """
     state = state.canonical()
     _validate_state(g, state)
     space, won, rank = _solve(g, [state], variant, budget)
     if not won[0]:
         return None
-    game = space.game
+    game, ids = space.game, space.ids
     strategy: dict[GameState, GameState] = {}
-    seen = {state}
-    todo = [state]
+    root = game.encode(state)
+    seen = {root}
+    todo = [root]
     while todo:
-        s = todo.pop()
-        if is_capture(s):
+        key = todo.pop()
+        kind = game.kind(key)
+        if kind == CAPTURED:
             continue
-        if s.phase == COP_TURN:
-            best: tuple[int, GameState] | None = None
-            for t, _records in cop_successors(g, s):
-                tid = space.ids.get(game.canonical(game.encode(t)))
-                if tid is not None and won[tid] and (best is None or (rank[tid], t) < best):
-                    best = (rank[tid], t)
-            if best is None:
+        if kind == COP_TURN:
+            best = move = None
+            for t in cop_successors(game, key):
+                tid = ids.get(game.canonical(t))
+                if tid is not None and won[tid]:
+                    order = (rank[tid], game.cops(t))
+                    if best is None or order < best:
+                        best, move = order, t
+            if move is None:
+                s = game.decode(key)
                 raise SolverInvariantError(f"winning state {s} has no winning cop move")
-            strategy[s] = best[1]
-            nexts = [best[1]]
+            strategy[game.decode(key)] = game.decode(move)
+            nexts = [move]
         else:
-            nexts = [t for (t, _mv) in robber_successors(g, s, variant)]
+            nexts = robber_successors(game, key)
         for t in nexts:
             if t not in seen:
                 seen.add(t)

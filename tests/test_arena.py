@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bridgeburn import arena, engine, graph
+from bridgeburn import arena, engine, graph, solver
 from bridgeburn.arena import exhaust_vs_policy, run_match
 from bridgeburn.engine import Transcript
 from bridgeburn.families import FamilySpec, generate
@@ -357,23 +357,24 @@ def test_exhaust_budget_exceeded_with_the_cop_pinned(fam):
     [
         ("hypercube", 3, lambda g: HypercubeMirrorCop(g), 1),  # wins: no counterexample
         ("path", 6, lambda g: FarthestRobber(), 2),  # beaten by a one-round capture
+        ("cycle", 6, lambda g: StationaryCop(g, (0,)), 1),  # beaten by a loop
     ],
-    ids=["cop", "robber"],
+    ids=["cop", "robber", "cop-beaten"],
 )
 def test_exhaust_lists_moves_on_states_only_for_the_counterexample(
     fam, monkeypatch, family, n, make, k
 ):
-    """The free side expands through PackedGame; the GameState successor
-    lists only rebuild a counterexample's records, one call per free
-    half-turn of it."""
+    """The free side expands through PackedGame; its moves are derived on
+    GameStates only for a counterexample's records, one call per free
+    half-turn of it: apply_robber_move for a free robber, cop_dests for a
+    free cop team (a pinned robber's moves go through apply_robber_move
+    too, so that one is not counted then)."""
     g = fam(family, n)
-    calls = []
-    for name in ("cop_successors", "robber_successors"):
-        listed = getattr(arena, name)
-        monkeypatch.setattr(
-            arena, name, lambda g, s, *a, listed=listed: calls.append(s) or listed(g, s, *a)
-        )
     policy = make(g)
+    name = "apply_robber_move" if policy.side == "cop" else "cop_dests"
+    calls = []
+    derive = getattr(arena, name)
+    monkeypatch.setattr(arena, name, lambda g, s, *a: calls.append(s) or derive(g, s, *a))
     v = exhaust_vs_policy(g, policy, k_cops=k)
     turns = v.counterexample.turns if v.counterexample else []
     # the robber's half-turns are free when the cop is pinned, and vice versa
@@ -385,3 +386,10 @@ def test_arena_lists_no_moves_itself():
     """The free side's moves are the engine's successor functions."""
     src = inspect.getsource(arena)
     assert "cop_move_options" not in src and "itertools.product" not in src
+
+
+def test_solver_lists_no_moves_itself():
+    """The solver and its strategy walk expand through PackedGame only."""
+    src = inspect.getsource(solver)
+    for name in ("cop_move_options", "itertools.product", "apply_cop_moves", "apply_robber_move"):
+        assert name not in src

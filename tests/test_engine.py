@@ -10,21 +10,32 @@ from bridgeburn.engine import (
     GameState,
     IllegalMoveError,
     MoveRecord,
+    PackedGame,
     PhaseError,
     Transcript,
     apply_cop_moves,
-    cop_successors,
+    apply_robber_move,
+    cop_dests,
+    cop_move_options,
     is_capture,
+    packed_component_check,
     robber_component_check,
-    robber_successors,
 )
 from bridgeburn.graph import component_bitmask
+
+
+def _successors(g, s, variant=BRIDGE_BURNING):
+    """PackedGame's successors of s, decoded."""
+    game = PackedGame(g, len(s.cops), variant)
+    key = game.encode(s)
+    listed = game.cop_successors if s.phase == COP_TURN else game.robber_successors
+    return [game.decode(t) for t in listed(key)]
 
 
 def test_cop_successors_p3(fam):
     g = fam("path", 3)
     s = GameState(0, (0,), 2, COP_TURN)
-    dests = sorted(t.cops[0] for (t, _mvs) in cop_successors(g, s))
+    dests = sorted(t.cops[0] for t in _successors(g, s))
     assert dests == [0, 1]
 
 
@@ -32,22 +43,35 @@ def test_cop_cannot_use_burned_edge(fam):
     g = fam("path", 3)
     burned = 1 << g.edge_id(0, 1)
     s = GameState(burned, (0,), 2, COP_TURN)
-    assert [t.cops for (t, _mvs) in cop_successors(g, s)] == [(0,)]
+    assert [t.cops for t in _successors(g, s)] == [(0,)]
 
 
 def test_cop_successors_c4_two_cops(fam):
     g = fam("cycle", 4)
     s = GameState(0, (0, 0), 2, COP_TURN)
-    got = sorted(t.cops for (t, _mvs) in cop_successors(g, s))
+    got = sorted(t.cops for t in _successors(g, s))
     assert got == [(0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (3, 3)]
 
 
 def test_phase_errors(fam):
     g = fam("path", 3)
+    s = GameState(0, (0,), 2, ROBBER_TURN)
     with pytest.raises(PhaseError):
-        cop_successors(g, GameState(0, (0,), 2, ROBBER_TURN))
+        apply_cop_moves(g, s, cop_dests(g, s, (1,)))
     with pytest.raises(PhaseError):
-        robber_successors(g, GameState(0, (0,), 2, COP_TURN))
+        apply_robber_move(g, GameState(0, (0,), 2, COP_TURN), 1)
+
+
+def test_cop_dests_keep_places_rather_than_swap(fam):
+    g = fam("path", 4)
+    s = GameState(0, (1, 2), 0, COP_TURN)
+    assert cop_dests(g, s, (1, 2)) == (1, 2)  # not the swap (2, 1)
+    assert cop_dests(g, s, (2, 1)) == (1, 2)
+    assert cop_dests(g, s, (0, 2)) == (0, 2)
+    assert cop_dests(g, s, (2, 2)) == (2, 2)  # cop 0 crosses, cop 1 stays
+    assert cop_dests(g, s, (3, 0)) == (0, 3)
+    with pytest.raises(IllegalMoveError, match="no cop move"):
+        cop_dests(g, s, (3, 3))  # cop 0 cannot reach 3 in one turn
 
 
 def test_apply_cop_moves_rejects_illegal_half_turns(fam):
@@ -66,7 +90,7 @@ def test_apply_cop_moves_rejects_illegal_half_turns(fam):
 def test_robber_move_burns_and_isolates(fam):
     g = fam("path", 6)
     s = GameState(0, (4,), 1, ROBBER_TURN)
-    move_to_0 = next(t for (t, mv) in robber_successors(g, s) if mv.to_vertex == 0)
+    move_to_0 = next(t for t in _successors(g, s) if t.robber == 0)
     assert move_to_0.burned == 1 << g.edge_id(0, 1)
     assert component_bitmask(g, 0, move_to_0.burned) == 1  # vertex 0 alone
     assert not robber_component_check(g, move_to_0)
@@ -75,9 +99,9 @@ def test_robber_move_burns_and_isolates(fam):
 def test_robber_stuck_can_only_stay(fam):
     g = fam("path", 3)
     burned = (1 << g.edge_id(0, 1)) | (1 << g.edge_id(1, 2))
-    succ = robber_successors(g, GameState(burned, (0,), 1, ROBBER_TURN))
-    assert len(succ) == 1
-    state, mv = succ[0]
+    s = GameState(burned, (0,), 1, ROBBER_TURN)
+    assert _successors(g, s) == [GameState(burned, (0,), 1, COP_TURN)]
+    state, mv = apply_robber_move(g, s, 1)
     assert state.robber == 1 and mv.from_vertex == mv.to_vertex
     assert mv.burned_edge is None
 
@@ -85,15 +109,19 @@ def test_robber_stuck_can_only_stay(fam):
 def test_robber_walks_into_cop(fam):
     g = fam("cycle", 3)
     s = GameState(0, (1,), 0, ROBBER_TURN)
-    captured = [t for (t, mv) in robber_successors(g, s) if mv.to_vertex == 1]
+    captured = [t for t in _successors(g, s) if t.robber == 1]
     assert len(captured) == 1 and is_capture(captured[0])
+    assert apply_robber_move(g, s, 1)[0] == captured[0]
 
 
 def test_classic_variant_does_not_burn(fam):
     g = fam("cycle", 4)
     s = GameState(0, (2,), 0, ROBBER_TURN)
-    for t, mv in robber_successors(g, s, CLASSIC):
+    replies = _successors(g, s, CLASSIC)
+    assert [t.robber for t in replies] == cop_move_options(g, 0, 0)
+    for t in replies:
         assert t.burned == 0
+        assert apply_robber_move(g, s, t.robber, CLASSIC)[0] == t
 
 
 def test_is_capture():
@@ -120,8 +148,6 @@ def test_fresh_graph_connected_check(fam):
 def _random_playout(g, seed, max_rounds=30):
     import random
 
-    from bridgeburn.engine import MoveRecord, cop_move_options
-
     rnd = random.Random(seed)
     cops = tuple(sorted(rnd.choice(range(g.vertex_count)) for _ in range(2)))
     robber = rnd.choice([v for v in range(g.vertex_count) if v not in cops] or [0])
@@ -138,7 +164,8 @@ def _random_playout(g, seed, max_rounds=30):
             )
             state = GameState(state.burned, tuple(sorted(dests)), state.robber, ROBBER_TURN)
         else:
-            nxt, mv = rnd.choice(robber_successors(g, state))
+            dest = rnd.choice(cop_move_options(g, state.burned, state.robber))
+            nxt, mv = apply_robber_move(g, state, dest)
             t.turns.append([mv])
             state = nxt
         masks.append(state.burned)
@@ -205,13 +232,16 @@ def test_memoized_component_check_matches_fresh(seed):
     from bridgeburn.families import FamilySpec, generate
 
     g = generate(FamilySpec("grid", (3, 4)))
+    game = PackedGame(g, 2)
     transcript, _final, _masks = _random_playout(g, seed, max_rounds=60)
     components: dict = {}  # one dict for the whole walk
     s = transcript.initial
     for half in transcript.turns:
         prev, s = s, Transcript(graph=g, initial=s, turns=[half]).replay()
-        parent = prev if s.burned != prev.burned else None  # a robber crossing
+        # a robber crossing: the component is updated from the parent's
+        parent = game.encode(prev) if s.burned != prev.burned else None
         fresh = component_bitmask(g, s.robber, s.burned)
         caught = any(fresh >> c & 1 for c in s.cops)
-        assert robber_component_check(g, s, components, parent) == caught
+        assert packed_component_check(game, game.encode(s), components, parent) == caught
+        assert robber_component_check(g, s) == caught
         assert components[s.burned, s.robber] == fresh

@@ -1,14 +1,19 @@
-"""The packed rules of engine.PackedGame against the GameState rules.
+"""The packed rules of engine.PackedGame against an independent reference.
 
-Before `canonical`, packed successors must decode to exactly what
-`cop_successors` / `robber_successors` return, in the same order, on every
-reachable state: exhaust_vs_policy expands its free side through the
-packed lists, so its breadth-first order and counterexamples depend on it.
+PackedGame is the library's only list of moves.  Before `canonical`, its
+successors must decode to exactly the moves that minimax_oracle's own
+`_cop_moves` / `_robber_moves` list, in the same order, on every
+reachable state.  The order matters, not only the set: exhaust_vs_policy
+expands its free side in that order, so its depth-first and breadth-first
+searches, `nodes_searched` and counterexamples depend on it, and
+`cop_dests` gives a counterexample's cop records by the same product
+order.
 """
 
 import itertools
 
 import pytest
+from minimax_oracle import _cop_moves, _robber_moves
 
 from bridgeburn.engine import (
     BRIDGE_BURNING,
@@ -19,11 +24,18 @@ from bridgeburn.engine import (
     ROBBER_TURN,
     GameState,
     PackedGame,
-    cop_successors,
     is_capture,
-    robber_successors,
 )
 from bridgeburn.graph import build_graph
+
+
+def _reference(g, s, variant):
+    """The oracle's successors of s, as GameStates in its order."""
+    if s.phase == COP_TURN:
+        teams = _cop_moves(g, s.burned, s.cops)
+        return [GameState(s.burned, c, s.robber, ROBBER_TURN) for c in teams]
+    moves = _robber_moves(g, s.burned, s.robber, variant.burning)
+    return [GameState(b, s.cops, r, COP_TURN) for (b, r) in moves]
 
 
 def _reachable(g, k, variant):
@@ -38,11 +50,7 @@ def _reachable(g, k, variant):
     while todo:
         s = todo.pop()
         yield s
-        if s.phase == COP_TURN:
-            nexts = [t for (t, _mvs) in cop_successors(g, s)]
-        else:
-            nexts = [t for (t, _mv) in robber_successors(g, s, variant)]
-        for t in nexts:
+        for t in _reference(g, s, variant):
             if t not in seen and not is_capture(t):
                 seen.add(t)
                 todo.append(t)
@@ -62,12 +70,8 @@ def test_packed_successors_match_rules(fam, family, params, k, variant):
         states += 1
         key = game.encode(s)
         assert game.decode(key) == s
-        if s.phase == COP_TURN:
-            want = [t for (t, _mvs) in cop_successors(g, s)]
-            assert [game.decode(t) for t in game.cop_successors(key)] == want
-        else:
-            want = [t for (t, _mv) in robber_successors(g, s, variant)]
-            assert [game.decode(t) for t in game.robber_successors(key)] == want
+        listed = game.cop_successors if s.phase == COP_TURN else game.robber_successors
+        assert [game.decode(t) for t in listed(key)] == _reference(g, s, variant)
     assert states > 20
 
 

@@ -12,7 +12,6 @@ from bridgeburn.engine import (
     ROBBER_TURN,
     PackedGame,
     is_capture,
-    robber_successors,
 )
 from bridgeburn.enumeration import connected_graph_classes
 from bridgeburn.families import FamilySpec
@@ -251,6 +250,7 @@ def test_strategy_extraction_consistent(fam):
     init = GameState(0, (1,), 3, COP_TURN)
     strat = extract_strategy(g, init)
     assert strat is not None
+    game = PackedGame(g, 1)
     # following the strategy from the initial state reaches capture
     state = init
     for _ in range(40):
@@ -260,7 +260,8 @@ def test_strategy_extraction_consistent(fam):
             state = strat[state]
         else:
             # adversarial robber: any successor must still be losing for him
-            state = max(robber_successors(g, state), key=lambda p: p[0].burned)[0]
+            replies = map(game.decode, game.robber_successors(game.encode(state)))
+            state = max(replies, key=lambda t: t.burned)
     assert state.robber in state.cops
 
 
@@ -286,10 +287,20 @@ def test_strategy_walk_beats_every_robber_reply(fam):
                     if s.phase == COP_TURN:
                         nxt.add(strat[s])
                     else:
-                        nxt.update(t for (t, _mv) in robber_successors(g, s))
+                        nxt.update(map(game.decode, game.robber_successors(game.encode(s))))
                 layer = {s for s in nxt if not is_capture(s)}
                 half += 1
     assert masked
+
+
+def test_strategy_ties_are_broken_by_the_cops(fam):
+    """Moves of equal rank are ordered by their sorted cops, not by their
+    packed keys, which hold the last cop in the higher bits: (0, 6) and
+    (2, 4) both win here in the least rank, and (2, 4) has the smaller key."""
+    g = fam("grid", 2, 4)
+    init = GameState(0, (0, 2), 5, COP_TURN)
+    strat = extract_strategy(g, init)
+    assert strat[init].cops == (0, 6)
 
 
 def test_strategy_extraction_is_none_when_the_robber_wins(fam):
