@@ -14,8 +14,8 @@ every move (and optionally every placement) of the free side:
 Nodes are (key, policy internal state) pairs, where the key is the
 state packed into one int by engine.PackedGame (one PackedGame per
 search, for its k cops).  The node is the memo key of both searches,
-which keeps the memoization sound for stateful policies; `canonical` is
-never applied, because a policy sees the whole burned mask.
+which keeps the memoization sound for stateful policies.  It holds the
+raw key, because a policy sees the whole burned mask.
 
 The arena holds no rules of its own.  The free side's moves are
 PackedGame.cop_successors / robber_successors on the key.  On the pinned
@@ -32,18 +32,18 @@ cops before the robber policy sees them, then the robber's vertex.
 The checks read the key.  Capture is PackedGame.kind, which gives CAPTURED
 or the phase on these keys, since no cop is at the sentinel.  A crossing
 is a child whose robber-and-burned bits differ from its parent's.  The
-escape check is engine.packed_component_check, which keeps one dict per
-exhaust_vs_policy call from (burned mask, robber vertex) to the robber's
-component.  That is sound because the component depends on nothing else.
-The check runs only on a search's root and after a robber crossing: a
+escape check is the solver's, `escaped(canonical(key, parent))`, on
+PackedGame's view memo of the robber's component by (burned mask, robber
+vertex).  It runs only on a search's root and after a robber crossing: a
 cop move or a robber who stays changes neither the burned mask nor the
 robber's component, and a cop cannot leave its own component, so such a
-child keeps its parent's answer.  So the parent of a crossing always has its key in the dict, and
-a crossing's component comes from the parent's by
-graph.component_after_burn, which searches only until the crossed edge's
-ends meet or the smaller side of a split is found.  Only a root's
-component is searched from scratch.  The memo gains at most one entry per
-checked node, so the node budget bounds it too.
+child keeps its parent's answer.  So a crossing's parent always has its
+view memoized, as `canonical` requires, and the crossing's component
+comes from the parent's by graph.component_after_burn, which searches
+only until the crossed edge's ends meet or the smaller side of a split
+is found.  Only a root's component is searched from scratch.  There is
+one PackedGame per search, so the memo dies with the call, and it gains
+at most one entry per checked node, so the node budget bounds it too.
 
 Each search, and each run_match, also keeps one graph.distance_memo and
 passes it to every Policy.choose as `dist`, so a distance from one source
@@ -82,7 +82,6 @@ from .engine import (
     apply_robber_move,
     cop_dests,
     is_capture,
-    packed_component_check,
     robber_component_check,
 )
 from .graph import Graph, check_vertex, distance_memo
@@ -158,6 +157,9 @@ def run_match(
     if is_capture(state):
         t.outcome = Outcome("cop_win", round=0)
         return t
+    if not robber_component_check(g, state):
+        t.outcome = Outcome("robber_escape", round=0, reason="isolated")
+        return t
     pstates = [cop.initial_pstate(g, cops, r0), rob_ps]
     dist = distance_memo(g)
     for rnd in range(1, max_rounds + 1):
@@ -216,7 +218,6 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
     game = PackedGame(g, k_cops)
     kind, shift = game.kind, game.robber_shift
     nodes = 0
-    components: dict[tuple[int, int], int] = {}
     dist = distance_memo(g)
     children = _expander(g, game, fixed, dist)
     best: tuple[int, list] | None = None  # (capture half-depth, path of nodes)
@@ -243,7 +244,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
             key = node[0]
-            if depth == 0 and not packed_component_check(game, key, components):
+            if depth == 0 and game.escaped(game.canonical(key)):
                 break  # the robber starts cut off from every cop
             high = key >> shift
             for child in children(node):
@@ -255,8 +256,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
                     if best is None or depth + 1 < best[0]:
                         best = (depth + 1, _path(seen, child))
                     continue
-                crossed = ckey >> shift != high
-                if crossed and not packed_component_check(game, ckey, components, key):
+                if ckey >> shift != high and game.escaped(game.canonical(ckey, key)):
                     continue  # escaped: the fixed robber wins this branch
                 frontier.append((child, depth + 1))
     if best is None:
@@ -280,7 +280,6 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
     game = PackedGame(g, len(cops))
     kind, shift = game.kind, game.robber_shift
     nodes = 0
-    components: dict[tuple[int, int], int] = {}
     dist = distance_memo(g)
     children = _expander(g, game, fixed, dist)
     # Iterative DFS; the stack is the path from the root.  A child that is
@@ -310,7 +309,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                 # the node under this one on the stack is its parent.
                 parent = stack[-2][0][0] if len(stack) > 1 else None
                 fresh = parent is None or key >> shift != parent >> shift
-                if fresh and not packed_component_check(game, key, components, parent):
+                if fresh and game.escaped(game.canonical(key, parent)):
                     tr = _transcript(g, game, fixed, [n for n, _ in stack], dist)
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)

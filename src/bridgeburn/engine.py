@@ -12,12 +12,11 @@ checked after every half-turn and ends the game immediately.
 only list of a side's moves, on states packed into one int: the solver's
 search, its strategy walk (`extract_strategy`) and the arena's
 exhaustive searches all expand through `PackedGame.cop_successors` /
-`robber_successors`.  A counterexample's cop half-turn gets its records
-from `cop_dests`, which finds the move tuple behind a cop multiset in the
+`robber_successors`, and `escaped(canonical(key))` is their one escape
+test.  A counterexample's cop half-turn gets its records from
+`cop_dests`, which finds the move tuple behind a cop multiset in the
 order those lists use.  The scripted policies ask `cop_move_options`
-which moves are open before they choose one, and the arena still applies
-whatever they return through `apply_*`, which remain the only
-enforcement.
+which moves are open, and the arena applies their choice by `apply_*`.
 """
 
 from __future__ import annotations
@@ -162,41 +161,6 @@ def robber_component_check(g: Graph, s: GameState) -> bool:
     return any(comp >> c & 1 for c in s.cops)
 
 
-def packed_component_check(
-    game: "PackedGame",
-    key: int,
-    components: dict[tuple[int, int], int],
-    parent: int | None = None,
-) -> bool:
-    """robber_component_check on a PackedGame key, memoized.
-
-    `components` maps (burned, robber) to the robber's component bitmask
-    on the game's graph.  A caller checking many keys of one game passes
-    the same dict to every call, and each component is computed once.
-    `parent` is the key that key follows when the robber has just crossed
-    from the parent's robber vertex to key's, burning that one edge; the
-    parent's (burned, robber) must be in `components`, and a component not
-    there yet is then updated from the parent's by `component_after_burn`
-    instead of searched from scratch.
-    """
-    shift, w, m = game.robber_shift, game.width, game.vertex_mask
-    high = key >> shift
-    burned, robber = high >> w, high & m
-    comp = components.get((burned, robber))
-    if comp is None:
-        if parent is None:
-            comp = component_bitmask(game.g, robber, burned)
-        else:
-            before = parent >> shift
-            prev = components[before >> w, before & m]
-            comp = component_after_burn(game.g, burned, before & m, robber, prev)
-        components[burned, robber] = comp
-    for cop_shift in game.cop_shifts:
-        if comp >> (key >> cop_shift & m) & 1:
-            return True
-    return False
-
-
 # --- packed states -----------------------------------------------------------
 
 
@@ -230,8 +194,10 @@ class PackedGame:
             tuple((y, 1 << eid) for (y, eid) in adj) for adj in g.adjacency
         ) + ((),)
         self.incident = [g.incident_edge_bits(v) for v in range(n)]
+        # The one component memo on keys, the solver's and the arena's:
         # (burned << w | robber) -> (robber's component, canonical high bits)
         self._views: dict[int, tuple[int, int]] = {}
+        self.all_vertices = (1 << n) - 1
 
     def pack_cops(self, cops) -> int:
         key = 0
@@ -306,7 +272,7 @@ class PackedGame:
                 out.append((mask << w | y) << shift | cops)
         return out
 
-    def canonical(self, key: int) -> int:
+    def canonical(self, key: int, parent: int | None = None) -> int:
         """The key with what can no longer matter quotiented out.
 
         Burned bits of edges with no endpoint in the robber's component are
@@ -314,11 +280,16 @@ class PackedGame:
         sentinel.  Burning only splits components, so such cops can never
         reach the robber again, and such edges can only ever be next to
         such cops.  A state is escaped iff all its cops are at the sentinel.
+
+        `parent`, if given, is the key from which the robber has just
+        crossed to key's vertex, and its view must be memoized already; a
+        view not memoized yet then comes from the parent's component by
+        `component_after_burn` instead of a search from scratch.
         """
         high = key >> self.robber_shift
         view = self._views.get(high)
         if view is None:
-            view = self._views[high] = self._view(high)
+            view = self._views[high] = self._view(high, parent)
         comp, head = view
         if self.k == 1:  # direct, as in cop_successors
             c = key >> 1 & self.vertex_mask
@@ -329,16 +300,21 @@ class PackedGame:
         n = self.sentinel
         return head | self.pack_cops(c if comp >> c & 1 else n for c in cops) | key & 1
 
-    def _view(self, high: int) -> tuple[int, int]:
-        w = self.width
-        r = high & self.vertex_mask
-        burned = high >> w
-        comp = component_bitmask(self.g, r, burned)
+    def _view(self, high: int, parent: int | None) -> tuple[int, int]:
+        w, m, shift = self.width, self.vertex_mask, self.robber_shift
+        r, burned = high & m, high >> w
+        if parent is None:
+            comp = component_bitmask(self.g, r, burned)
+        else:
+            before = parent >> shift
+            comp = component_after_burn(self.g, burned, before & m, r, self._views[before][0])
+        if comp == self.all_vertices:  # every edge has an endpoint in comp
+            return comp, high << shift
         near = 0
         for v, bits in enumerate(self.incident):
             if comp >> v & 1:
                 near |= bits
-        return comp, ((burned & near) << w | r) << self.robber_shift
+        return comp, ((burned & near) << w | r) << shift
 
     def escaped(self, key: int) -> bool:
         """For canonical keys: no cop is left in the robber's component."""

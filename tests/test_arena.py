@@ -5,7 +5,7 @@ import pytest
 
 from bridgeburn import arena, engine, graph, solver
 from bridgeburn.arena import exhaust_vs_policy, run_match
-from bridgeburn.engine import Transcript
+from bridgeburn.engine import Outcome, Transcript
 from bridgeburn.families import FamilySpec, generate
 from bridgeburn.graph import build_graph
 from bridgeburn.solver import BudgetExceeded
@@ -185,13 +185,13 @@ def test_exhaust_checks_the_escape_only_after_a_robber_crossing(fam, monkeypatch
     policy, k = make(g)
     plain = exhaust_vs_policy(g, policy, k_cops=k)
     calls = []
-    check = arena.packed_component_check
+    canonical = engine.PackedGame.canonical
 
     def counted(*args):
         calls.append(args)
-        return check(*args)
+        return canonical(*args)
 
-    monkeypatch.setattr(arena, "packed_component_check", counted)
+    monkeypatch.setattr(engine.PackedGame, "canonical", counted)
     v = exhaust_vs_policy(g, policy, k_cops=k)
     assert v.to_json_dict() == plain.to_json_dict()
     assert 0 < len(calls) < v.nodes_searched
@@ -256,6 +256,15 @@ def test_exhaust_computes_each_distance_and_component_once_per_call(
     components = runs[0]["component_bitmask"] + runs[0]["component_after_burn"]
     for searched in (components, runs[0]["all_distances_from"]):
         assert 0 < len(searched) == len(set(searched))
+
+
+@pytest.mark.parametrize("max_rounds", [None, 0])
+def test_run_match_start_cut_off_from_the_cops_is_an_escape_at_round_zero(max_rounds):
+    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    tr = run_match(g, StationaryCop(g, (0,)), PlanRobber(g, 3, []), max_rounds)
+    assert tr.outcome == Outcome("robber_escape", round=0, reason="isolated")
+    assert tr.turns == []
+    assert tr.replay() == tr.initial
 
 
 def test_exhaust_start_cut_off_from_the_cops_is_an_escape_at_the_root():

@@ -18,7 +18,6 @@ from bridgeburn.engine import (
     cop_dests,
     cop_move_options,
     is_capture,
-    packed_component_check,
     robber_component_check,
 )
 from bridgeburn.graph import component_bitmask
@@ -234,7 +233,6 @@ def test_memoized_component_check_matches_fresh(seed):
     g = generate(FamilySpec("grid", (3, 4)))
     game = PackedGame(g, 2)
     transcript, _final, _masks = _random_playout(g, seed, max_rounds=60)
-    components: dict = {}  # one dict for the whole walk
     s = transcript.initial
     for half in transcript.turns:
         prev, s = s, Transcript(graph=g, initial=s, turns=[half]).replay()
@@ -242,6 +240,9 @@ def test_memoized_component_check_matches_fresh(seed):
         parent = game.encode(prev) if s.burned != prev.burned else None
         fresh = component_bitmask(g, s.robber, s.burned)
         caught = any(fresh >> c & 1 for c in s.cops)
-        assert packed_component_check(game, game.encode(s), components, parent) == caught
+        raw = game.encode(s)
+        key = game.canonical(raw, parent)  # one memo for the whole walk
+        assert game.escaped(key) == (not caught)
         assert robber_component_check(g, s) == caught
-        assert components[s.burned, s.robber] == fresh
+        assert game._views[raw >> game.robber_shift][0] == fresh
+        assert key == PackedGame(g, 2).canonical(raw)

@@ -26,7 +26,7 @@ from bridgeburn.engine import (
     PackedGame,
     is_capture,
 )
-from bridgeburn.graph import build_graph
+from bridgeburn.graph import build_graph, component_bitmask
 
 
 def _reference(g, s, variant):
@@ -89,6 +89,48 @@ def test_canonical_clears_far_edges_and_parks_far_cops():
     assert sorted(game.decode(t).cops for t in game.cop_successors(key)) == [
         (2, 5), (3, 5)
     ]
+
+
+def _canonical_reference(g, s):
+    """s with the burned edges kept iff an endpoint is in the robber's
+    component, and every cop outside it at the sentinel vertex n."""
+    comp = component_bitmask(g, s.robber, s.burned)
+    burned = sum(
+        1 << eid
+        for eid, (u, v) in enumerate(g.edges)
+        if s.burned >> eid & 1 and (comp >> u & 1 or comp >> v & 1)
+    )
+    cops = tuple(sorted(c if comp >> c & 1 else g.vertex_count for c in s.cops))
+    return GameState(burned, cops, s.robber, s.phase)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("family,params", [("path", (6,)), ("spider", (1, 2)), ("grid", (2, 3))])
+def test_canonical_matches_reference(fam, family, params, k):
+    """On every reachable state, and after each robber crossing from the
+    parent's memoized view; both split and whole components occur."""
+    g = fam(family, *params)
+    game = PackedGame(g, k)
+    whole = split = crossings = 0
+    for s in _reachable(g, k, BRIDGE_BURNING):
+        key = game.encode(s)
+        want = game.encode(_canonical_reference(g, s))
+        assert game.canonical(key) == want
+        if component_bitmask(g, s.robber, s.burned) == (1 << g.vertex_count) - 1:
+            whole += 1
+        else:
+            split += 1
+        if s.phase != ROBBER_TURN:
+            continue
+        for t in game.robber_successors(key):
+            if t >> game.robber_shift == key >> game.robber_shift:
+                continue  # the robber stays
+            crossings += 1
+            fresh = PackedGame(g, k)  # so that t's view is built from key's
+            fresh.canonical(key)
+            reference = _canonical_reference(g, game.decode(t))
+            assert fresh.canonical(t, key) == game.encode(reference)
+    assert whole > 20 and split > 20 and crossings > 20
 
 
 def test_kind_of_terminal_keys():
