@@ -30,20 +30,14 @@ free-side placements (their size too) before the search, a cop policy's
 cops before the robber policy sees them, then the robber's vertex.
 
 The checks read the key.  Capture is PackedGame.kind, which gives CAPTURED
-or the phase on these keys, since no cop is at the sentinel.  A crossing
-is a child whose robber-and-burned bits differ from its parent's.  The
-escape check is the solver's, `escaped(canonical(key, parent))`, on
-PackedGame's view memo of the robber's component by (burned mask, robber
-vertex).  It runs only on a search's root and after a robber crossing: a
-cop move or a robber who stays changes neither the burned mask nor the
-robber's component, and a cop cannot leave its own component, so such a
-child keeps its parent's answer.  So a crossing's parent always has its
-view memoized, as `canonical` requires, and the crossing's component
-comes from the parent's by graph.component_after_burn, which searches
-only until the crossed edge's ends meet or the smaller side of a split
-is found.  Only a root's component is searched from scratch.  There is
-one PackedGame per search, so the memo dies with the call, and it gains
-at most one entry per checked node, so the node budget bounds it too.
+or the phase on these keys, since no cop is at the sentinel.  The escape
+check is engine.robber_component_check(game, key, parent): on a search's
+root without a parent, and on every uncaptured node below it with its
+parent node's key (run_match passes the previous round's key), so only a
+root's component is searched from scratch.  There is one PackedGame per
+search and per match, so its component memo dies with the call, and it
+gains at most one entry per checked node, so the node budget bounds it
+too.
 
 Each search, and each run_match, also keeps one graph.distance_memo and
 passes it to every Policy.choose as `dist`, so a distance from one source
@@ -84,7 +78,7 @@ from .engine import (
     is_capture,
     robber_component_check,
 )
-from .graph import Graph, check_vertex, distance_memo
+from .graph import Graph, VertexRangeError, check_vertex, distance_memo
 from .solver import BudgetExceeded
 from .strategies import Policy, PolicyApplicabilityError
 
@@ -129,8 +123,11 @@ def _policy_move(policy: Policy, g: Graph, state: GameState, move):
 
 
 def _take_cops(g: Graph, placement) -> tuple[int, ...]:
-    """The sorted cop multiset of a placement; VertexRangeError on a non-vertex."""
-    cops = tuple(sorted(placement))
+    """The sorted cop multiset of a placement; VertexRangeError unless it lists vertices."""
+    try:
+        cops = tuple(sorted(placement))
+    except TypeError:
+        raise VertexRangeError(f"cop placement {placement!r} is not a list of vertices") from None
     for c in cops:
         check_vertex(g, c)
     return cops
@@ -157,7 +154,9 @@ def run_match(
     if is_capture(state):
         t.outcome = Outcome("cop_win", round=0)
         return t
-    if not robber_component_check(g, state):
+    game = PackedGame(g, len(cops))
+    key = game.encode(state)
+    if not robber_component_check(game, key):
         t.outcome = Outcome("robber_escape", round=0, reason="isolated")
         return t
     pstates = [cop.initial_pstate(g, cops, r0), rob_ps]
@@ -170,7 +169,8 @@ def run_match(
             if is_capture(state):
                 t.outcome = Outcome("cop_win", round=rnd)
                 return t
-        if not robber_component_check(g, state):
+        parent, key = key, game.encode(state)
+        if not robber_component_check(game, key, parent):
             t.outcome = Outcome("robber_escape", round=rnd, reason="isolated")
             return t
     t.outcome = Outcome("round_limit", round=max_rounds)
@@ -216,7 +216,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             if len(cops) != k_cops:
                 raise ValueError(f"cop placement {cops} has {len(cops)} cops, but k_cops={k_cops}")
     game = PackedGame(g, k_cops)
-    kind, shift = game.kind, game.robber_shift
+    kind = game.kind
     nodes = 0
     dist = distance_memo(g)
     children = _expander(g, game, fixed, dist)
@@ -244,9 +244,8 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
             key = node[0]
-            if depth == 0 and game.escaped(game.canonical(key)):
+            if depth == 0 and not robber_component_check(game, key):
                 break  # the robber starts cut off from every cop
-            high = key >> shift
             for child in children(node):
                 if child in seen:
                     continue
@@ -256,7 +255,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
                     if best is None or depth + 1 < best[0]:
                         best = (depth + 1, _path(seen, child))
                     continue
-                if ckey >> shift != high and game.escaped(game.canonical(ckey, key)):
+                if not robber_component_check(game, ckey, key):
                     continue  # escaped: the fixed robber wins this branch
                 frontier.append((child, depth + 1))
     if best is None:
@@ -278,7 +277,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
         for r0 in starts:
             check_vertex(g, r0)
     game = PackedGame(g, len(cops))
-    kind, shift = game.kind, game.robber_shift
+    kind = game.kind
     nodes = 0
     dist = distance_memo(g)
     children = _expander(g, game, fixed, dist)
@@ -305,11 +304,9 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                     status[node] = _DONE
                     stack.pop()
                     continue
-                # Below the root, only a robber crossing can cut him off;
-                # the node under this one on the stack is its parent.
+                # the node under this one on the stack is its parent
                 parent = stack[-2][0][0] if len(stack) > 1 else None
-                fresh = parent is None or key >> shift != parent >> shift
-                if fresh and game.escaped(game.canonical(key, parent)):
+                if not robber_component_check(game, key, parent):
                     tr = _transcript(g, game, fixed, [n for n, _ in stack], dist)
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)

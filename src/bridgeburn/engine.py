@@ -12,11 +12,12 @@ checked after every half-turn and ends the game immediately.
 only list of a side's moves, on states packed into one int: the solver's
 search, its strategy walk (`extract_strategy`) and the arena's
 exhaustive searches all expand through `PackedGame.cop_successors` /
-`robber_successors`, and `escaped(canonical(key))` is their one escape
-test.  A counterexample's cop half-turn gets its records from
-`cop_dests`, which finds the move tuple behind a cop multiset in the
-order those lists use.  The scripted policies ask `cop_move_options`
-which moves are open, and the arena applies their choice by `apply_*`.
+`robber_successors`.  `escaped(canonical(key))` is the one escape test;
+`run_match` and the arena's searches ask it by `robber_component_check`.
+A counterexample's cop half-turn gets its records from `cop_dests`,
+which finds the move tuple behind a cop multiset in the order those
+lists use.  The scripted policies ask `cop_move_options` which moves
+are open, and the arena applies their choice by `apply_*`.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class GameState(NamedTuple):
     cops: tuple[int, ...]
     robber: int
     phase: int
-
-    def canonical(self) -> "GameState":
-        return self._replace(cops=tuple(sorted(self.cops)))
 
 
 class MoveRecord(NamedTuple):
@@ -149,16 +147,6 @@ def apply_robber_move(
     eid = _unburned_edge(g, s.burned, r, to, "robber")
     burned = s.burned | 1 << eid if variant.burning else s.burned
     return GameState(burned, s.cops, to, COP_TURN), MoveRecord(ROBBER, r, to, eid)
-
-
-def robber_component_check(g: Graph, s: GameState) -> bool:
-    """True iff some cop still shares the robber's component.
-
-    False means the robber has escaped permanently: burning only ever
-    splits components further, so no cop can ever reach him again.
-    """
-    comp = component_bitmask(g, s.robber, s.burned)
-    return any(comp >> c & 1 for c in s.cops)
 
 
 # --- packed states -----------------------------------------------------------
@@ -330,6 +318,22 @@ class PackedGame:
             if key >> shift & m == r:
                 return CAPTURED
         return key & 1
+
+
+def robber_component_check(game: PackedGame, key: int, parent: int | None = None) -> bool:
+    """True iff some cop still shares the robber's component in `key`.
+
+    False means the robber has escaped for good: burning only ever splits
+    components.  `parent`, if given, is a key of the same play at most one
+    robber half-turn earlier, and it passed this check, so its view is
+    memoized.  If the robber has not crossed since, the answer is True, as
+    no cop can leave its component; else `canonical` gets his component
+    from the parent's by `component_after_burn`.
+    """
+    shift = game.robber_shift
+    if parent is not None and key >> shift == parent >> shift:
+        return True
+    return not game.escaped(game.canonical(key, parent))
 
 
 # --- transcripts -------------------------------------------------------------

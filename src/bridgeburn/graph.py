@@ -101,9 +101,9 @@ def build_graph(vertex_count: int, edges) -> Graph:
 
 
 def check_vertex(g: Graph, v: int) -> None:
-    """Raise VertexRangeError unless v is a vertex of g."""
-    if not (0 <= v < g.vertex_count):
-        raise VertexRangeError(f"vertex {v} outside [0,{g.vertex_count})")
+    """Raise VertexRangeError unless v is a vertex of g, an int in [0, n)."""
+    if not (isinstance(v, int) and 0 <= v < g.vertex_count):
+        raise VertexRangeError(f"vertex {v!r} outside [0,{g.vertex_count})")
 
 
 def all_distances_from(g: Graph, u: int, burned: int = 0) -> list[int]:

@@ -246,7 +246,6 @@ def solve_position(
     budget: int | None = DEFAULT_BUDGET,
 ) -> PositionValue:
     """Decide one position exactly: CopWin(rounds) or RobberWin."""
-    state = state.canonical()
     _validate_state(g, state)
     space, won, rank = _solve(g, [state], variant, budget)
     rounds = (rank[0] + 1) // 2 if won[0] else None
@@ -302,7 +301,6 @@ def extract_strategy(
     ranks are exact, so the fully expanded space would give the same
     strategy.
     """
-    state = state.canonical()
     _validate_state(g, state)
     space, won, rank = _solve(g, [state], variant, budget)
     if not won[0]:

@@ -570,11 +570,9 @@ class EulerianStallRobber(Policy):
                     return uj, pstate
             return r, pstate
         if mode == 2:
-            if r in self.vs:
-                uj = self.us[self.vs.index(r)]
-                if uj in cop_move_options(g, burned, r) and cop != uj:
-                    return uj, (3, index, pos)
-            return r, (3, index, pos)
+            # The robber dashed to v_t with the cop at distance >= 2 from
+            # it, so u_t is still free and the edge v_t-u_t still open.
+            return self.us[self.vs.index(r)], (3, index, pos)
         # stall mode
         t = self.block_of[r]
         vt = self.vs[t]
@@ -584,14 +582,12 @@ class EulerianStallRobber(Policy):
                 if nxt is not None:
                     return nxt
             return r, pstate  # circuit exhausted, or the cop is elsewhere: wait
-        # cop strayed off the clique
+        # The cop strayed off the clique.  The robber sits in block S_t, and
+        # his circuit never crosses the edge r-v_t, so it is open.  A cop at
+        # distance 1 from v_t is in S_t or on u_t, never next to r: wait.
         d_vt = dist(cop, burned)[vt]
-        if (d_vt < 0 or d_vt >= 2) and vt in cop_move_options(g, burned, r):
+        if d_vt < 0 or d_vt >= 2:
             return vt, (2, index, pos)
-        if cop != r and r in cop_move_options(g, burned, cop):
-            nxt = self._advance(r, index, pos)
-            if nxt is not None and nxt[0] != cop:
-                return nxt
         return r, pstate
 
     def _advance(self, r, index, pos):

@@ -7,7 +7,7 @@ from bridgeburn import arena, engine, graph, solver
 from bridgeburn.arena import exhaust_vs_policy, run_match
 from bridgeburn.engine import Outcome, Transcript
 from bridgeburn.families import FamilySpec, generate
-from bridgeburn.graph import build_graph
+from bridgeburn.graph import VertexRangeError, build_graph
 from bridgeburn.solver import BudgetExceeded
 from bridgeburn.strategies import (
     EulerianStallRobber,
@@ -74,6 +74,29 @@ def test_exhaust_rejects_free_placements_off_the_graph(fam, bad):
         exhaust_vs_policy(g, GreedyCloserCop(g, (2,)), free_side_placements=[*starts, bad])
     with pytest.raises(ValueError, match=f"vertex {bad} "):
         exhaust_vs_policy(g, LeafIsolateRobber(g), free_side_placements=[(2,), (bad,)])
+
+
+@pytest.mark.parametrize(
+    "make, placement, detail",
+    [
+        (lambda g: GreedyCloserCop(g, (2,)), (3,), r"vertex \(3,\) "),
+        (lambda g: GreedyCloserCop(g, (2,)), 2.5, "vertex 2.5 "),
+        (lambda g: FarthestRobber(), 3, "cop placement 3 is not a list of vertices"),
+    ],
+    ids=["robber-tuple", "robber-float", "cops-int"],
+)
+def test_exhaust_rejects_a_placement_that_is_not_vertices(fam, make, placement, detail):
+    g = fam("path", 6)
+    with pytest.raises(VertexRangeError, match=detail):
+        exhaust_vs_policy(g, make(g), [placement])
+
+
+def test_run_match_rejects_policies_on_the_wrong_sides(fam):
+    g = fam("path", 6)
+    cop, robber = StationaryCop(g, (0,)), FarthestRobber()
+    for pair in ((robber, cop), (cop, cop), (robber, robber)):
+        with pytest.raises(ValueError, match="one cop policy and one robber policy"):
+            run_match(g, *pair)
 
 
 def test_exhaust_budget_exceeded(fam):
@@ -273,6 +296,15 @@ def test_exhaust_start_cut_off_from_the_cops_is_an_escape_at_the_root():
     tr = v.counterexample
     assert (v.outcome, v.nodes_searched, tr.outcome.reason) == ("beaten", 1, "isolated")
     assert (tr.initial.robber, tr.turns) == (3, [])
+
+
+@pytest.mark.parametrize("placements, nodes", [([(0,)], 1), ([(0,), (2,)], 2)])
+def test_exhaust_pinned_robber_starting_cut_off_from_the_cops_wins_at_the_root(
+    placements, nodes
+):
+    """The farthest robber starts in the component without the cop."""
+    g = build_graph(4, [(0, 1), (2, 3)])
+    assert exhaust_vs_policy(g, FarthestRobber(), placements) == arena.Verdict("wins", nodes)
 
 
 _PATH6 = {"edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], "n": 6}

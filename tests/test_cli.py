@@ -182,6 +182,8 @@ def test_policies_listing(capsys):
         ["exhaust", "--family", "torus", "--params", "8,8", "--fixed", "grid_placement:8,8"],
         ["exhaust", "--family", "grid", "--params", "3,3", "--fixed", "torus_placement:3,3"],
         ["exhaust", "--family", "grid", "--params", "2,6", "--fixed", "grid2xn_cop:x"],
+        ["arena", "--family", "path", "--params", "6",
+         "--cop", "farthest", "--robber", "stationary"],
     ],
 )
 def test_bad_policy_is_input_error(capsys, argv):

@@ -23,6 +23,12 @@ from bridgeburn.engine import (
 from bridgeburn.graph import component_bitmask
 
 
+def _cop_shares_component(g, s):
+    """robber_component_check on s, packed for a fresh PackedGame."""
+    game = PackedGame(g, len(s.cops))
+    return robber_component_check(game, game.encode(s))
+
+
 def _successors(g, s, variant=BRIDGE_BURNING):
     """PackedGame's successors of s, decoded."""
     game = PackedGame(g, len(s.cops), variant)
@@ -92,7 +98,7 @@ def test_robber_move_burns_and_isolates(fam):
     move_to_0 = next(t for t in _successors(g, s) if t.robber == 0)
     assert move_to_0.burned == 1 << g.edge_id(0, 1)
     assert component_bitmask(g, 0, move_to_0.burned) == 1  # vertex 0 alone
-    assert not robber_component_check(g, move_to_0)
+    assert not _cop_shares_component(g, move_to_0)
 
 
 def test_robber_stuck_can_only_stay(fam):
@@ -133,12 +139,12 @@ def test_stalemate_escape_via_z(fam):
     g = fam("stalemate")
     burned = 1 << g.edge_id(3, 5)
     s = GameState(burned, (0,), 5, COP_TURN)
-    assert not robber_component_check(g, s)
+    assert not _cop_shares_component(g, s)
 
 
 def test_fresh_graph_connected_check(fam):
     g = fam("cycle", 5)
-    assert robber_component_check(g, GameState(0, (0,), 3, COP_TURN))
+    assert _cop_shares_component(g, GameState(0, (0,), 3, COP_TURN))
 
 
 # --- transcript replay / play properties --------------------------------------
@@ -234,6 +240,7 @@ def test_memoized_component_check_matches_fresh(seed):
     game = PackedGame(g, 2)
     transcript, _final, _masks = _random_playout(g, seed, max_rounds=60)
     s = transcript.initial
+    passed = _cop_shares_component(g, s)
     for half in transcript.turns:
         prev, s = s, Transcript(graph=g, initial=s, turns=[half]).replay()
         # a robber crossing: the component is updated from the parent's
@@ -243,6 +250,9 @@ def test_memoized_component_check_matches_fresh(seed):
         raw = game.encode(s)
         key = game.canonical(raw, parent)  # one memo for the whole walk
         assert game.escaped(key) == (not caught)
-        assert robber_component_check(g, s) == caught
+        assert _cop_shares_component(g, s) == caught
+        if passed:  # prev may be the parent: it passed the check
+            assert robber_component_check(game, raw, game.encode(prev)) == caught
+        passed = caught
         assert game._views[raw >> game.robber_shift][0] == fresh
         assert key == PackedGame(g, 2).canonical(raw)

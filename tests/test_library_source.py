@@ -39,17 +39,27 @@ def _called_name(node) -> str | None:
     return func.id if isinstance(func, ast.Name) else None
 
 
-def test_component_searches_are_called_only_from_graph_and_engine():
-    """Outside graph.py, only engine.py searches components: PackedGame's
-    view memo and robber_component_check.  So no other module grows a
-    component memo of its own."""
-    searches = {"component_bitmask", "component_after_burn"}
+def _callers(names) -> set[str]:
+    """The library modules that call any of `names`."""
     modules = sorted(Path(bridgeburn.__file__).parent.glob("*.py"))
-    callers = {
+    assert len(modules) >= 12
+    return {
         path.name
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _called_name(node) in searches
+        if _called_name(node) in names
     }
-    assert len(modules) >= 12
-    assert callers == {"graph.py", "engine.py"}
+
+
+def test_component_searches_are_called_only_from_graph_and_engine():
+    """Outside graph.py, only engine.py searches components, in the view
+    memo of PackedGame.  So no other module grows a component memo of its
+    own."""
+    assert _callers({"component_bitmask", "component_after_burn"}) == {"graph.py", "engine.py"}
+
+
+def test_escape_is_tested_only_by_engine_and_solver():
+    """The solver reads the escape off the canonical keys it stores; play
+    and the arena's searches ask engine.robber_component_check.  So the
+    arena cannot grow an escape test of its own."""
+    assert _callers({"canonical", "escaped"}) == {"engine.py", "solver.py"}
