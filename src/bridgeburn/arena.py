@@ -20,24 +20,25 @@ raw key, because a policy sees the whole burned mask.
 The arena holds no rules of its own.  The free side's moves are
 PackedGame.cop_successors / robber_successors on the key.  On the pinned
 side's turn the key is decoded only to call the policy's choose; its move
-is applied by the engine's apply_cop_moves / apply_robber_move, the only
-legality check, and the result is encoded again.  Both searches expand a
-node through one function, made by _expander.  A robber policy's
-`robber_start` gives its start vertex and initial state in one call per
-play, so nothing a placement decides outlives that play.  Every
-placement is checked against the graph before play from it starts:
+is applied to the key by PackedGame.apply, which checks it with the same
+edge test and errors as apply_cop_moves / apply_robber_move.  Both
+searches expand a node through one function, made by _expander.  A
+robber policy's `robber_start` gives its start vertex and initial state
+in one call per play, so nothing a placement decides outlives that play.
+Every placement is checked against the graph before play from it starts:
 free-side placements (their size too) before the search, a cop policy's
 cops before the robber policy sees them, then the robber's vertex.
 
-The checks read the key.  Capture is PackedGame.kind, which gives CAPTURED
-or the phase on these keys, since no cop is at the sentinel.  The escape
-check is engine.robber_component_check(game, key, parent): on a search's
-root without a parent, and on every uncaptured node below it with its
-parent node's key (run_match passes the previous round's key), so only a
-root's component is searched from scratch.  There is one PackedGame per
-search and per match, so its component memo dies with the call, and it
-gains at most one entry per checked node, so the node budget bounds it
-too.
+The checks read the key.  Capture is PackedGame.captured; the keys are
+raw, so no cop is at the sentinel and none is escaped.  The escape check
+is engine.robber_component_check(game, key, parent): on a search's root
+without a parent, and on every uncaptured node below it with its parent
+node's key (run_match passes the previous round's key), so only a root's
+component is searched from scratch.  The depth-first search calls it only
+at a root and after a robber crossing, the only moves that can cut the
+robber off.  There is one PackedGame per search and per match, so its
+component memo dies with the call, and it gains at most one entry per
+checked node, so the node budget bounds it too.
 
 Each search, and each run_match, also keeps one graph.distance_memo and
 passes it to every Policy.choose as `dist`, so a distance from one source
@@ -64,7 +65,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .engine import (
-    CAPTURED,
     COP_TURN,
     GameState,
     IllegalMoveError,
@@ -216,7 +216,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             if len(cops) != k_cops:
                 raise ValueError(f"cop placement {cops} has {len(cops)} cops, but k_cops={k_cops}")
     game = PackedGame(g, k_cops)
-    kind = game.kind
+    captured = game.captured
     nodes = 0
     dist = distance_memo(g)
     children = _expander(g, game, fixed, dist)
@@ -251,7 +251,7 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
                     continue
                 seen[child] = node
                 ckey = child[0]
-                if kind(ckey) == CAPTURED:
+                if captured(ckey):
                     if best is None or depth + 1 < best[0]:
                         best = (depth + 1, _path(seen, child))
                     continue
@@ -277,7 +277,7 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
         for r0 in starts:
             check_vertex(g, r0)
     game = PackedGame(g, len(cops))
-    kind = game.kind
+    captured, shift = game.captured, game.robber_shift
     nodes = 0
     dist = distance_memo(g)
     children = _expander(g, game, fixed, dist)
@@ -300,32 +300,34 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
                 if budget is not None and nodes > budget:
                     raise BudgetExceeded(nodes)
                 key = node[0]
-                if kind(key) == CAPTURED:
+                if captured(key):
                     status[node] = _DONE
                     stack.pop()
                     continue
-                # the node under this one on the stack is its parent
+                # the node under this one on the stack is its parent; only a
+                # root or a robber crossing can cut the robber off
                 parent = stack[-2][0][0] if len(stack) > 1 else None
-                if not robber_component_check(game, key, parent):
+                crossed = parent is None or key >> shift != parent >> shift
+                if crossed and not robber_component_check(game, key, parent):
                     tr = _transcript(g, game, fixed, [n for n, _ in stack], dist)
                     tr.outcome = Outcome("robber_escape", reason="isolated")
                     return Verdict("beaten", nodes, tr)
                 status[node] = _GRAY
                 it = iter(children(node))
                 stack[-1] = (node, it)
-            child = next(it, None)
-            if child is None:
+            for child in it:
+                mark = status.get(child)
+                if mark is None:
+                    stack.append((child, None))
+                    break
+                if mark == _GRAY:
+                    # child is on the path to node: close the loop back to it
+                    tr = _transcript(g, game, fixed, [n for n, _ in stack] + [child], dist)
+                    tr.outcome = Outcome("robber_escape", reason="repeatable position")
+                    return Verdict("beaten", nodes, tr)
+            else:
                 status[node] = _DONE
                 stack.pop()
-                continue
-            mark = status.get(child)
-            if mark is None:
-                stack.append((child, None))
-            elif mark == _GRAY:
-                # child is on the path to node: close the loop back to it
-                tr = _transcript(g, game, fixed, [n for n, _ in stack] + [child], dist)
-                tr.outcome = Outcome("robber_escape", reason="repeatable position")
-                return Verdict("beaten", nodes, tr)
     return Verdict("wins", nodes)
 
 
@@ -335,21 +337,23 @@ def _pinned_turn(fixed, phase: int) -> bool:
 
 def _expander(g, game, fixed, dist):
     """The search's children(node): the pinned policy's one move on its
-    side's turn, applied to the decoded state, else every packed successor
-    of the free side."""
+    side's turn, applied to the key by PackedGame.apply, else every packed
+    successor of the free side."""
     if fixed.side == "cop":
         pinned, free = COP_TURN, game.robber_successors
     else:
         pinned, free = ROBBER_TURN, game.cop_successors
-    decode, encode, choose = game.decode, game.encode, fixed.choose
+    decode, apply, choose = game.decode, game.apply, fixed.choose
 
     def children(node) -> list:
         key, ps = node
         if key & 1 != pinned:
             return [(t, ps) for t in free(key)]
-        state = decode(key)
-        move, nps = choose(g, state, ps, dist)
-        return [(encode(_policy_move(fixed, g, state, move)[0]), nps)]
+        move, nps = choose(g, decode(key), ps, dist)
+        try:
+            return [(apply(key, move), nps)]
+        except IllegalMoveError as e:
+            raise IllegalPolicyMoveError(fixed, str(e)) from None
 
     return children
 

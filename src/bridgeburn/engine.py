@@ -6,18 +6,21 @@ crosses one unburned incident edge, and crossing permanently deletes that
 edge for both sides.  Capture (any cop sharing the robber's vertex) is
 checked after every half-turn and ends the game immediately.
 
-`apply_cop_moves` and `apply_robber_move` are the only legality check:
-`run_match`, the arena's pinned policies, counterexample records and
-`Transcript.replay` apply every move through them.  `PackedGame` is the
-only list of a side's moves, on states packed into one int: the solver's
-search, its strategy walk (`extract_strategy`) and the arena's
-exhaustive searches all expand through `PackedGame.cop_successors` /
-`robber_successors`.  `escaped(canonical(key))` is the one escape test;
-`run_match` and the arena's searches ask it by `robber_component_check`.
-A counterexample's cop half-turn gets its records from `cop_dests`,
-which finds the move tuple behind a cop multiset in the order those
-lists use.  The scripted policies ask `cop_move_options` which moves
-are open, and the arena applies their choice by `apply_*`.
+`_unburned_edge` is the only legality test of a move.  Three functions
+apply a half-turn through it: `apply_cop_moves` and `apply_robber_move`
+on GameStates, with move records, for `run_match`, counterexample
+records and `Transcript.replay`; and `PackedGame.apply` on packed keys,
+without records, for the pinned policy of the arena's exhaustive
+searches.  `PackedGame` is the only list of a side's moves, on states
+packed into one int: the solver's search, its strategy walk
+(`extract_strategy`) and the arena's exhaustive searches all expand
+through `PackedGame.cop_successors` / `robber_successors`.
+`escaped(canonical(key))` is the one escape test; `run_match` and the
+arena's searches ask it by `robber_component_check`.  A
+counterexample's cop half-turn gets its records from `cop_dests`, which
+finds the move tuple behind a cop multiset in the order those lists
+use.  The scripted policies ask `cop_move_options` which moves are
+open.
 """
 
 from __future__ import annotations
@@ -304,19 +307,57 @@ class PackedGame:
                 near |= bits
         return comp, ((burned & near) << w | r) << shift
 
+    def apply(self, key: int, move) -> int:
+        """The key after the side to move in `key` plays `move`.
+
+        The same half-turn as `apply_cop_moves` / `apply_robber_move` on
+        the decoded state, with the same IllegalMoveError for an illegal
+        move, but with no move records.  `key` must be uncaptured.
+        """
+        w, m, shift = self.width, self.vertex_mask, self.robber_shift
+        burned = key >> (shift + w)
+        if key & 1 == ROBBER_TURN:
+            r = key >> shift & m
+            if move == r:
+                return key ^ ROBBER_TURN
+            eid = _unburned_edge(self.g, burned, r, move, "robber")
+            if self.burning:
+                burned |= 1 << eid
+            return (burned << w | move) << shift | key & self.cops_mask
+        if len(move) != self.k:
+            raise IllegalMoveError(f"{len(move)} moves for {self.k} cops")
+        head = key >> shift << shift | ROBBER_TURN
+        if self.k == 1:  # direct, as in cop_successors
+            frm, (to,) = key >> 1 & m, move
+            if frm != to:
+                _unburned_edge(self.g, burned, frm, to, "cop 0")
+            return head | to << 1
+        for i, (frm, to) in enumerate(zip(self.cops(key), move)):
+            if frm != to:
+                _unburned_edge(self.g, burned, frm, to, f"cop {i}")
+        return head | self.pack_cops(move)
+
     def escaped(self, key: int) -> bool:
         """For canonical keys: no cop is left in the robber's component."""
         return key & self.cops_mask == self.all_sentinel
+
+    def captured(self, key: int) -> bool:
+        """Whether a cop is on the robber's vertex."""
+        m = self.vertex_mask
+        r = key >> self.robber_shift & m
+        if self.k == 1:  # direct, as in cop_successors
+            return key >> 1 & m == r
+        for shift in self.cop_shifts:
+            if key >> shift & m == r:
+                return True
+        return False
 
     def kind(self, key: int) -> int:
         """CAPTURED, ESCAPED, or else the phase; ESCAPED needs a canonical key."""
         if self.escaped(key):
             return ESCAPED
-        m = self.vertex_mask
-        r = key >> self.robber_shift & m
-        for shift in self.cop_shifts:
-            if key >> shift & m == r:
-                return CAPTURED
+        if self.captured(key):
+            return CAPTURED
         return key & 1
 
 
@@ -325,10 +366,11 @@ def robber_component_check(game: PackedGame, key: int, parent: int | None = None
 
     False means the robber has escaped for good: burning only ever splits
     components.  `parent`, if given, is a key of the same play at most one
-    robber half-turn earlier, and it passed this check, so its view is
-    memoized.  If the robber has not crossed since, the answer is True, as
-    no cop can leave its component; else `canonical` gets his component
-    from the parent's by `component_after_burn`.
+    robber half-turn earlier, and it (or an earlier key with the same
+    robber and burned bits) passed this check, so its view is memoized.
+    If the robber has not crossed since, the answer is True, as no cop can
+    leave its component; else `canonical` gets his component from the
+    parent's by `component_after_burn`.
     """
     shift = game.robber_shift
     if parent is not None and key >> shift == parent >> shift:

@@ -90,13 +90,16 @@ class Policy:
 def _greedy_step(g: Graph, burned: int, frm: int, dist: Sequence[int]) -> int:
     """One step reducing `dist`, current-graph distances to a target; stay
     if impossible."""
-    if dist[frm] <= 0:
+    d0 = dist[frm]
+    if d0 <= 0:
         return frm
-    best = frm
-    best_d = dist[frm]
-    for y in sorted(cop_move_options(g, burned, frm)[1:]):
-        if 0 <= dist[y] < best_d:
-            best, best_d = y, dist[y]
+    # the least (distance, vertex) among open neighbours strictly closer than frm
+    best, best_d = frm, d0
+    for (y, eid) in g.adjacency[frm]:
+        if not burned >> eid & 1:
+            d = dist[y]
+            if 0 <= d < best_d or d == best_d < d0 and y < best:
+                best, best_d = y, d
     return best
 
 

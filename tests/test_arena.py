@@ -4,7 +4,7 @@ import json
 import pytest
 
 from bridgeburn import arena, engine, graph, solver
-from bridgeburn.arena import exhaust_vs_policy, run_match
+from bridgeburn.arena import IllegalPolicyMoveError, exhaust_vs_policy, run_match
 from bridgeburn.engine import Outcome, Transcript
 from bridgeburn.families import FamilySpec, generate
 from bridgeburn.graph import VertexRangeError, build_graph
@@ -17,6 +17,7 @@ from bridgeburn.strategies import (
     HypercubeMirrorCop,
     LeafIsolateRobber,
     PlanRobber,
+    Policy,
     PolicyApplicabilityError,
     StationaryCop,
     make_policy,
@@ -405,22 +406,28 @@ def test_exhaust_budget_exceeded_with_the_cop_pinned(fam):
 def test_exhaust_lists_moves_on_states_only_for_the_counterexample(
     fam, monkeypatch, family, n, make, k
 ):
-    """The free side expands through PackedGame; its moves are derived on
-    GameStates only for a counterexample's records, one call per free
-    half-turn of it: apply_robber_move for a free robber, cop_dests for a
-    free cop team (a pinned robber's moves go through apply_robber_move
-    too, so that one is not counted then)."""
+    """The search runs on keys: the free side expands through PackedGame's
+    successor lists and the pinned side's move goes through PackedGame.apply.
+    Moves are applied to GameStates only for a counterexample's records,
+    one apply_cop_moves / apply_robber_move call per half-turn of it; a
+    free half-turn's move is re-derived by apply_robber_move for a free
+    robber and by cop_dests for a free cop team."""
     g = fam(family, n)
     policy = make(g)
-    name = "apply_robber_move" if policy.side == "cop" else "cop_dests"
-    calls = []
-    derive = getattr(arena, name)
-    monkeypatch.setattr(arena, name, lambda g, s, *a: calls.append(s) or derive(g, s, *a))
+    calls = {name: [] for name in ("apply_cop_moves", "apply_robber_move", "cop_dests")}
+    for name, called in calls.items():
+        derive = getattr(arena, name)
+        monkeypatch.setattr(
+            arena, name, lambda g, s, *a, f=derive, c=called: c.append(s) or f(g, s, *a)
+        )
     v = exhaust_vs_policy(g, policy, k_cops=k)
     turns = v.counterexample.turns if v.counterexample else []
     # the robber's half-turns are free when the cop is pinned, and vice versa
     free = [half for half in turns if (half[0].actor == engine.ROBBER) == (policy.side == "cop")]
-    assert len(calls) == len(free) < v.nodes_searched
+    name = "apply_robber_move" if policy.side == "cop" else "cop_dests"
+    assert len(calls[name]) == len(free) < v.nodes_searched
+    applied = len(calls["apply_cop_moves"]) + len(calls["apply_robber_move"])
+    assert applied == len(turns)
 
 
 def test_arena_lists_no_moves_itself():
@@ -434,3 +441,98 @@ def test_solver_lists_no_moves_itself():
     src = inspect.getsource(solver)
     for name in ("cop_move_options", "itertools.product", "apply_cop_moves", "apply_robber_move"):
         assert name not in src
+
+
+class _FirstMoveCop(StationaryCop):
+    """Plays `move` from its start, legal or not."""
+
+    name = "first_move"
+
+    def __init__(self, g, starts, move):
+        super().__init__(g, starts)
+        self.move = move
+
+    def choose(self, g, state, pstate, dist):
+        return self.move, pstate
+
+
+class _BurnedEdgeCop(GreedyCloserCop):
+    """Chases greedily, but crosses a burned edge at its vertex once there is one."""
+
+    name = "burned_edge"
+
+    def choose(self, g, state, pstate, dist):
+        (c,) = state.cops
+        for (y, eid) in g.adjacency[c]:
+            if state.burned >> eid & 1:
+                return (y,), pstate
+        return super().choose(g, state, pstate, dist)
+
+
+class _WalkRobber(Policy):
+    """Plays its walk, legal or not, one entry a turn; then stays."""
+
+    side = "robber"
+    name = "walk"
+
+    def __init__(self, start, walk):
+        self.start, self.walk = start, tuple(walk)
+
+    def robber_start(self, g, cops):
+        return self.start, self.walk
+
+    def choose(self, g, state, pstate, dist):
+        return (pstate[0], pstate[1:]) if pstate else (state.robber, pstate)
+
+
+def _illegal_move_message(play) -> str:
+    with pytest.raises(IllegalPolicyMoveError) as exc:
+        play()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "make, walk, nodes, detail",
+    [
+        (lambda g: _FirstMoveCop(g, (0,), (8,)), [], 1, "cop 0 0->8 is not an edge"),  # a teleport
+        (lambda g: _BurnedEdgeCop(g, (0,)), [3, 6, 6, 6], 15, "cop 0 4->3 crosses burned edge 5"),
+        (lambda g: _FirstMoveCop(g, (0,), (0, 1)), [], 1, "2 moves for 1 cops"),
+        # 16 = 2**w for w = 4 bits per vertex: packed unchecked, it would
+        # spill into the robber's field
+        (lambda g: _FirstMoveCop(g, (0,), (16,)), [], 1, "cop 0 0->16 is not an edge"),
+    ],
+    ids=["teleport", "burned-edge", "move-count", "past-the-vertex-field"],
+)
+def test_exhaust_pinned_cop_illegal_move_is_the_match_error(fam, make, walk, nodes, detail):
+    """The depth-first search applies the pinned cop's move on keys; an
+    illegal one raises what run_match raises for it, at the node where the
+    search meets it (so a budget of that many nodes is enough), not later
+    from a counterexample's records.  The robber's walk is the branch on
+    which the search meets the illegal move first."""
+    g = fam("grid", 3, 3)
+    cop = make(g)
+    searched = _illegal_move_message(lambda: exhaust_vs_policy(g, cop, [4], budget=nodes))
+    played = _illegal_move_message(lambda: run_match(g, cop, _WalkRobber(4, walk)))
+    assert searched == played == f"policy {cop.name!r} returned an illegal move: {detail}"
+
+
+@pytest.mark.parametrize(
+    "walk, nodes, detail",
+    [
+        ([1], 2, "robber 4->1 is not an edge"),  # a teleport
+        ([5, 4], 8, "robber 5->4 crosses burned edge 4"),
+        ([(5,)], 2, "robber 4->(5,) is not an edge"),  # a cop team's move tuple
+        ([16], 2, "robber 4->16 is not an edge"),  # 2**w, past the vertex field
+    ],
+    ids=["teleport", "burned-edge", "move-tuple", "past-the-vertex-field"],
+)
+def test_exhaust_pinned_robber_illegal_move_is_the_match_error(fam, walk, nodes, detail):
+    """The breadth-first search applies the pinned robber's move on keys; an
+    illegal one raises what run_match raises for it, at the node where the
+    search meets it.  The cop starts three steps from where the robber
+    crosses, so no capture ends the search first."""
+    g = fam("cycle", 8)
+    robber = _WalkRobber(4, walk)
+    searched = _illegal_move_message(lambda: exhaust_vs_policy(g, robber, [(0,)], budget=nodes))
+    played = _illegal_move_message(lambda: run_match(g, StationaryCop(g, (0,)), robber))
+    assert searched == played == f"policy 'walk' returned an illegal move: {detail}"

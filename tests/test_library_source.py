@@ -63,3 +63,11 @@ def test_escape_is_tested_only_by_engine_and_solver():
     and the arena's searches ask engine.robber_component_check.  So the
     arena cannot grow an escape test of its own."""
     assert _callers({"canonical", "escaped"}) == {"engine.py", "solver.py"}
+
+
+def test_edge_legality_is_tested_only_by_engine():
+    """Every move is checked by engine._unburned_edge, the one caller of
+    Graph.edge_id: apply_cop_moves / apply_robber_move for play and
+    records, PackedGame.apply for the arena's pinned side.  So the arena
+    cannot grow a legality check of its own."""
+    assert _callers({"_unburned_edge", "edge_id"}) == {"engine.py"}

@@ -23,7 +23,11 @@ from bridgeburn.engine import (
     ESCAPED,
     ROBBER_TURN,
     GameState,
+    IllegalMoveError,
     PackedGame,
+    apply_cop_moves,
+    apply_robber_move,
+    cop_move_options,
     is_capture,
 )
 from bridgeburn.graph import build_graph, component_bitmask
@@ -141,3 +145,74 @@ def test_kind_of_terminal_keys():
     assert game.decode(escaped).cops == (4, 4)
     assert game.kind(escaped) == ESCAPED
     assert game.kind(game.encode(GameState(0, (1, 3), 3, COP_TURN))) == CAPTURED
+
+
+def _applied(apply, *args):
+    """apply(*args), or the message of the IllegalMoveError it raises."""
+    try:
+        return apply(*args)
+    except IllegalMoveError as e:
+        return str(e)
+
+
+def _moves(g, s, w):
+    """Moves of the side to move in s, legal or not.  The robber's are every
+    vertex and vertex 2**w, which packed unchecked would spill into the
+    next field; the cops' are every legal move tuple, then every one-cop
+    teleport to a vertex or 2**w that cop cannot reach."""
+    far = [*range(g.vertex_count), 1 << w]
+    if s.phase == ROBBER_TURN:
+        return far
+    options = [cop_move_options(g, s.burned, c) for c in s.cops]
+    legal = list(itertools.product(*options))
+    teleports = [
+        s.cops[:i] + (v,) + s.cops[i + 1:]
+        for i, opts in enumerate(options)
+        for v in far
+        if v not in opts
+    ]
+    return legal + teleports
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family,params", [("path", (5,)), ("cycle", (6,)), ("grid", (2, 3))])
+def test_apply_matches_the_rules_on_states(fam, family, params, k):
+    """PackedGame.apply(key, move) is the key of the state apply_cop_moves /
+    apply_robber_move give, on every live reachable key and every legal
+    move, and an illegal move raises the same IllegalMoveError."""
+    g = fam(family, *params)
+    game = PackedGame(g, k)
+    legal = illegal = 0
+    for s in _reachable(g, k, BRIDGE_BURNING):
+        key = game.encode(s)
+        for move in _moves(g, s, game.width):
+            if s.phase == COP_TURN:
+                want = _applied(lambda: game.encode(apply_cop_moves(g, s, move)[0]))
+            else:
+                want = _applied(lambda: game.encode(apply_robber_move(g, s, move)[0]))
+            assert _applied(game.apply, key, move) == want
+            if isinstance(want, int):
+                legal += 1
+            else:
+                illegal += 1
+    assert legal > 100 and illegal > 100
+
+
+def test_apply_checks_the_number_of_cop_moves():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    game = PackedGame(g, 2)
+    key = game.encode(GameState(0, (0, 1), 2, COP_TURN))
+    for move in [(0,), (0, 1, 1)]:
+        with pytest.raises(IllegalMoveError, match=f"^{len(move)} moves for 2 cops$"):
+            game.apply(key, move)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_captured_is_a_cop_on_the_robber(fam, k):
+    g = fam("grid", 2, 3)
+    game = PackedGame(g, k)
+    for s in _reachable(g, k, BRIDGE_BURNING):
+        for t in (s, s._replace(robber=s.cops[-1])):
+            key = game.encode(t)
+            assert game.captured(key) == is_capture(t)
+            assert game.kind(key) == (CAPTURED if is_capture(t) else t.phase)

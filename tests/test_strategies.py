@@ -34,6 +34,7 @@ from bridgeburn.strategies import (
     PolicyStateError,
     StalematePolicyRobber,
     StationaryCop,
+    _greedy_step,
     make_policy,
     policy_names,
     robber_distance_safe,
@@ -257,6 +258,64 @@ def test_stalemate_policy_wins_always(fam):
 def test_guard_start_vertex_wins_on_c6(fam):
     g = fam("cycle", 6)
     assert exhaust_vs_policy(g, GuardStartVertexCop(g, 0)).wins_always
+
+
+def _bench_exhaust(fam, name):
+    """The pinned policy, graph and free-side placements of one of the
+    benchmark's exhaust-policy operations, with the placements in
+    canonical order."""
+    if name == "degree4_isolate":
+        g = fam("torus", 11, 11)
+        dist = all_distances_from(g, grid_vertex(11, 5, 5))
+        far = [(v,) for v in range(g.vertex_count) if dist[v] >= 10]
+        return g, Degree4IsolateRobber(g, 11, 11, (5, 5), wrap=True), far
+    if name == "guard_start_vertex":
+        g = fam("cycle", 12)
+        return g, GuardStartVertexCop(g, 0), None
+    n = int(name.split("x")[1])
+    g = fam("grid", 2, n)
+    return g, Grid2xnCopTeam(g, n), None
+
+
+@pytest.mark.parametrize(
+    "name, nodes",
+    [
+        ("degree4_isolate", 3024),
+        ("guard_start_vertex", 4731),
+        ("2x8", 230),
+        ("2x9", 487),
+        ("2x10", 340),
+        ("2x11", 699),
+        ("2x12", 550),
+        ("2x13", 1139),
+        ("2x14", 1112),
+    ],
+)
+def test_bench_exhausts_pinned(fam, name, nodes):
+    """The benchmark's exhaustive searches (hypercube(4)'s is pinned in
+    test_arena): a change to the search loops that reorders them shows here
+    as another node count."""
+    g, policy, placements = _bench_exhaust(fam, name)
+    v = exhaust_vs_policy(g, policy, placements)
+    assert (v.outcome, v.nodes_searched) == ("wins", nodes)
+
+
+@pytest.mark.parametrize("family, params", [("grid", (2, 4)), ("cycle", (6,))])
+def test_greedy_step_is_the_least_closer_neighbour(fam, family, params):
+    """On every vertex, burned mask and target: the first of the open
+    neighbours, in vertex order, that is strictly closer than every one
+    before it and than the start; else stay."""
+    g = fam(family, *params)
+    for burned in range(1 << g.edge_count):
+        for target in range(g.vertex_count):
+            dist = all_distances_from(g, target, burned)
+            for frm in range(g.vertex_count):
+                want = frm
+                if dist[frm] > 0:
+                    for y in sorted(cop_move_options(g, burned, frm)[1:]):
+                        if 0 <= dist[y] < dist[want]:
+                            want = y
+                assert _greedy_step(g, burned, frm, dist) == want
 
 
 @pytest.mark.parametrize("n", range(1, 41))
