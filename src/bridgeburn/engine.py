@@ -12,9 +12,11 @@ on GameStates, with move records, for `run_match`, counterexample
 records and `Transcript.replay`; and `PackedGame.apply` on packed keys,
 without records, for the pinned policy of the arena's exhaustive
 searches.  `PackedGame` is the only list of a side's moves, on states
-packed into one int: the solver's search, its strategy walk
-(`extract_strategy`) and the arena's exhaustive searches all expand
-through `PackedGame.cop_successors` / `robber_successors`.
+packed into one int: the solver's strategy walk (`extract_strategy`) and
+the arena's exhaustive searches expand through
+`PackedGame.cop_successors` / `robber_successors`; the solver's search
+expands through `cop_successors` and `PackedGame.crossings`, a per-view
+table of robber crossings built from `robber_successors`.
 `escaped(canonical(key))` is the one escape test; `run_match` and the
 arena's searches ask it by `robber_component_check`.  A
 counterexample's cop half-turn gets its records from `cop_dests`, which
@@ -163,9 +165,18 @@ class PackedGame:
 
         phase (1 bit) | k cops in ascending order (w bits each) | robber (w bits) | burned mask
 
-    Vertex n is a sentinel with no moves; only `canonical` puts cops there.
-    `cop_successors` and `robber_successors` list the moves of the rules
-    above, computed on keys from per-vertex (neighbour, edge-bit) tables.
+    Vertex n is a sentinel with no moves; only `canonical` and `park` put
+    cops there.  `cop_successors` and `robber_successors` list the moves of
+    the rules above, computed on keys from per-vertex (neighbour, edge-bit)
+    tables.
+
+    The key's high bits, burned mask and robber, are its view.  Two memos
+    on views live as long as the PackedGame: `_views`, the one component
+    memo, maps a view to (robber's component, canonical high bits), and
+    `_crossings` (see `crossings`) maps a view to the `_views` entries of
+    the robber's crossings out of it.  The solver makes one PackedGame per
+    `_GameSpace`, so the memos are freed with each orbit's space; the arena
+    makes one per search or match.
     """
 
     def __init__(self, g: Graph, k: int, variant: Variant = BRIDGE_BURNING):
@@ -188,6 +199,9 @@ class PackedGame:
         # The one component memo on keys, the solver's and the arena's:
         # (burned << w | robber) -> (robber's component, canonical high bits)
         self._views: dict[int, tuple[int, int]] = {}
+        # The solver's robber-move table: view -> the _views entry of each
+        # robber crossing out of it (see `crossings`)
+        self._crossings: dict[int, tuple[tuple[int, int], ...]] = {}
         self.all_vertices = (1 << n) - 1
 
     def pack_cops(self, cops) -> int:
@@ -280,16 +294,52 @@ class PackedGame:
         high = key >> self.robber_shift
         view = self._views.get(high)
         if view is None:
-            view = self._views[high] = self._view(high, parent)
+            view = self._memo(high, parent)
         comp, head = view
         if self.k == 1:  # direct, as in cop_successors
             c = key >> 1 & self.vertex_mask
             return head | (c if comp >> c & 1 else self.sentinel) << 1 | key & 1
+        return head | self.park(key, comp) | key & 1
+
+    def park(self, key: int, comp: int) -> int:
+        """key's cop bits with every cop outside `comp` at the sentinel, sorted."""
         cops = self.cops(key)
         if all(comp >> c & 1 for c in cops):
-            return head | key & self.cops_mask | key & 1
+            return key & self.cops_mask
         n = self.sentinel
-        return head | self.pack_cops(c if comp >> c & 1 else n for c in cops) | key & 1
+        return self.pack_cops(c if comp >> c & 1 else n for c in cops)
+
+    def crossings(self, key: int) -> tuple[tuple[int, int], ...]:
+        """(component, canonical head) of each robber crossing out of key.
+
+        One per unburned edge at the robber, in `robber_successors` order
+        with the stay left out; only key's view matters.  The crossing's
+        canonical key is head | park(key, component), an escape if every
+        cop is parked.  Built once per view from `robber_successors` on the
+        cop-less key; each child view comes from key's component by
+        `component_after_burn`.
+        """
+        high = key >> self.robber_shift
+        table = self._crossings.get(high)
+        if table is None:
+            shift, views = self.robber_shift, self._views
+            parent = high << shift | ROBBER_TURN
+            if high not in views:
+                self._memo(high, None)
+            table = self._crossings[high] = tuple(
+                views.get(t >> shift) or self._memo(t >> shift, parent)
+                for t in self.robber_successors(parent)[1:]
+            )
+        return table
+
+    def _memo(self, high: int, parent: int | None) -> tuple[int, int]:
+        """The view of `high`, computed and memoized under `high` and under
+        its canonical high bits, whose view is the same; so a canonical
+        key's view is always memoized, and a crossing out of it gets its
+        component by `component_after_burn`."""
+        view = self._views[high] = self._view(high, parent)
+        self._views.setdefault(view[1] >> self.robber_shift, view)
+        return view
 
     def _view(self, high: int, parent: int | None) -> tuple[int, int]:
         w, m, shift = self.width, self.vertex_mask, self.robber_shift

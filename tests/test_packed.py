@@ -11,6 +11,7 @@ order.
 """
 
 import itertools
+import random
 
 import pytest
 from minimax_oracle import _cop_moves, _robber_moves
@@ -135,6 +136,38 @@ def test_canonical_matches_reference(fam, family, params, k):
             reference = _canonical_reference(g, game.decode(t))
             assert fresh.canonical(t, key) == game.encode(reference)
     assert whole > 20 and split > 20 and crossings > 20
+
+
+@pytest.mark.parametrize("variant", [BRIDGE_BURNING, CLASSIC])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family,params", [("path", (5,)), ("spider", (1, 2)), ("grid", (2, 3))])
+def test_crossings_table_follows_the_rules(fam, family, params, k, variant):
+    """On seeded random reachable RobberTurn keys, raw and canonical, the
+    table lists the view of canonical(t, key) for each robber crossing t
+    of robber_successors(key)[1:], in order; head | park(key, component)
+    is that canonical key, so the table calls a state escaped exactly when
+    some crossing's canonical key is."""
+    g = fam(family, *params)
+    game = PackedGame(g, k, variant)
+    shift, m = game.robber_shift, game.vertex_mask
+    states = [s for s in _reachable(g, k, variant) if s.phase == ROBBER_TURN]
+    assert len(states) >= 10
+    escapes = 0
+    for s in random.Random(27).sample(states, min(len(states), 60)):
+        for key in (game.encode(s), game.canonical(game.encode(s))):
+            reference = PackedGame(g, k, variant)
+            reference.canonical(key)  # key's view, for canonical(t, key)
+            want = [reference.canonical(t, key) for t in game.robber_successors(key)[1:]]
+            table = game.crossings(key)
+            assert list(table) == [
+                (component_bitmask(g, t >> shift & m, t >> shift + game.width), t >> shift << shift)
+                for t in want
+            ]
+            assert [head | game.park(key, comp) for comp, head in table] == want
+            escaped = any(game.park(key, comp) == game.all_sentinel for comp, _ in table)
+            assert escaped == any(map(reference.escaped, want))
+            escapes += escaped
+    assert (escapes > 5) == variant.burning
 
 
 def test_kind_of_terminal_keys():

@@ -6,6 +6,7 @@ from minimax_oracle import oracle_capture_time, oracle_rounds
 
 from bridgeburn.bounds import family_formula, placement_generators
 from bridgeburn.engine import (
+    BRIDGE_BURNING,
     CLASSIC,
     COP_TURN,
     GameState,
@@ -444,6 +445,25 @@ def test_values_at_the_shared_pass_reach(fam):
     bounds = family_formula(FamilySpec("torus", (3, 3)))
     assert (bounds.exact, bounds.lower, bounds.upper) == (None, 1, 2)
     assert _outcome(cop_wins_with_k(fam("torus", 3, 3), 1)) == ("cop", (0,), 5)
+
+
+@pytest.mark.parametrize(
+    "family, params, k, variant, want",
+    [
+        ("grid", (3, 4), 1, BRIDGE_BURNING, ("cop", (5,), 5, 14105)),
+        ("complete", (6,), 2, BRIDGE_BURNING, ("cop", (0, 0), 1, 541)),
+        ("spider", (4, 4, 4), 2, BRIDGE_BURNING, ("robber", None, None, 464)),
+        ("grid", (2, 5), 3, BRIDGE_BURNING, ("cop", (0, 4, 7), 1, 28780)),
+        ("cycle", (7,), 3, BRIDGE_BURNING, ("cop", (0, 1, 4), 1, 866)),
+        ("grid", (3, 3), 1, CLASSIC, ("robber", None, None, 162)),
+        ("cycle", (5,), 2, CLASSIC, ("cop", (0, 2), 1, 108)),
+    ],
+)
+def test_explored_states_are_pinned(fam, family, params, k, variant, want):
+    """The quotient state space, not only the answer: a change to how
+    states are expanded, canonicalized or interned moves explored_states."""
+    res = cop_wins_with_k(fam(family, *params), k, variant)
+    assert (*_outcome(res), res.explored_states) == want
 
 
 @pytest.mark.parametrize(
