@@ -230,8 +230,11 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
         check_vertex(g, r0)
         init = GameState(0, cops, r0, COP_TURN)
         if is_capture(init):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(nodes)
             tr = Transcript(graph=g, initial=init, outcome=Outcome("cop_win", round=0))
-            return Verdict("beaten", nodes + 1, tr)
+            return Verdict("beaten", nodes, tr)
         # BFS by half-turns; cop branches, robber move pinned by the policy.
         root = (game.encode(init), ps0)
         seen = {root: None}  # node -> its parent node

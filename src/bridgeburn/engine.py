@@ -35,9 +35,6 @@ from .graph import Graph, GraphError, component_after_burn, component_bitmask
 
 COP_TURN = 0
 ROBBER_TURN = 1
-# PackedGame.kind of a terminal state; live states have their phase as kind
-CAPTURED = 2
-ESCAPED = 3
 
 ROBBER = -1  # MoveRecord.actor value for the robber; cops use their index
 
@@ -401,14 +398,6 @@ class PackedGame:
             if key >> shift & m == r:
                 return True
         return False
-
-    def kind(self, key: int) -> int:
-        """CAPTURED, ESCAPED, or else the phase; ESCAPED needs a canonical key."""
-        if self.escaped(key):
-            return ESCAPED
-        if self.captured(key):
-            return CAPTURED
-        return key & 1
 
 
 def robber_component_check(game: PackedGame, key: int, parent: int | None = None) -> bool:

@@ -41,7 +41,11 @@ from the view's own by `graph.component_after_burn`.  A RobberTurn
 state's successors are its stay and, per crossing, those high bits with
 its cops, any cop outside the new component parked at the sentinel.  A
 RobberTurn state with an escaping move is a robber win, so none of its
-successors is interned.
+successors is interned; as a cop move keeps every cop in the robber's
+component, no state but a root is ever escaped.  A space keeps per state
+its key (the phase is its low bit), its predecessors and its robber
+successor count; it tests capture when it interns a state, and escape on
+its roots only.
 
 Whole-game solving runs in one process, one orbit of robber starts at a
 time.  An automorphism sigma of the graph does not change a game's value,
@@ -75,9 +79,7 @@ from typing import NamedTuple
 
 from .engine import (
     BRIDGE_BURNING,
-    CAPTURED,
     COP_TURN,
-    ESCAPED,
     ROBBER_TURN,
     GameState,
     PackedGame,
@@ -153,6 +155,11 @@ class CopNumberResult:
 class _GameSpace:
     """Reachable quotient game graph from its roots, grown stage by stage.
 
+    Per state id: `keys` (the phase is the low bit), `preds` and
+    `robber_succ_count`.  `_intern` sends a captured state to
+    `captured_ids`, any other to the next layer; an escaped root (only a
+    root can be one) keeps its id but is never expanded, a robber win.
+
     The roots are interned first, in order, so root i has id i.  Expansion
     goes one breadth-first layer at a time, so after `expand_to(h)` every
     live state of depth < h is expanded and no deeper one is; a state's
@@ -164,7 +171,6 @@ class _GameSpace:
         self.budget = budget
         self.ids: dict[int, int] = {}
         self.keys: list[int] = []
-        self.kind = bytearray()
         self.preds: list[list[int]] = []
         self.robber_succ_count: list[int] = []
         self.captured_ids: list[int] = []
@@ -172,6 +178,7 @@ class _GameSpace:
         self._depth = 0
         for s in roots:
             self._intern(game.canonical(game.encode(s)))
+        self._layer = [sid for sid in self._layer if not game.escaped(self.keys[sid])]
 
     def _intern(self, key: int) -> int:
         sid = len(self.keys)
@@ -179,12 +186,10 @@ class _GameSpace:
             raise BudgetExceeded(sid)
         self.ids[key] = sid
         self.keys.append(key)
-        kind = self.game.kind(key)
-        if kind == CAPTURED:
+        if self.game.captured(key):
             self.captured_ids.append(sid)
-        elif kind != ESCAPED:
+        else:
             self._layer.append(sid)
-        self.kind.append(kind)
         self.preds.append([])
         self.robber_succ_count.append(0)
         return sid
@@ -198,7 +203,7 @@ class _GameSpace:
         each crossing's canonical head with the cops, parked at the
         sentinel if outside the new component.
         """
-        ids, keys, kind, preds, intern = self.ids, self.keys, self.kind, self.preds, self._intern
+        ids, keys, preds, intern = self.ids, self.keys, self.preds, self._intern
         game = self.game
         cop_moves, crossings, park = game.cop_successors, game.crossings, game.park
         one_cop, m = game.k == 1, game.vertex_mask
@@ -207,7 +212,7 @@ class _GameSpace:
             layer, self._layer = self._layer, []
             for sid in layer:
                 key = keys[sid]
-                if kind[sid] == ROBBER_TURN:
+                if key & 1 == ROBBER_TURN:
                     table = crossings(key)
                     succ = [key ^ ROBBER_TURN]
                     if one_cop:
@@ -246,7 +251,7 @@ class _GameSpace:
         won = bytearray(len(self.keys))
         rank = [0] * len(self.keys)
         pending = self.robber_succ_count.copy()
-        kind, preds = self.kind, self.preds
+        keys, preds = self.keys, self.preds
         bfs = self.captured_ids.copy()
         for sid in bfs:
             won[sid] = 1
@@ -255,7 +260,7 @@ class _GameSpace:
             for p in preds[sid]:
                 if won[p]:
                     continue
-                if kind[p] == ROBBER_TURN:
+                if keys[p] & 1 == ROBBER_TURN:
                     pending[p] -= 1
                     if pending[p]:
                         continue
@@ -303,10 +308,10 @@ def _solve(
 def _validate_state(g: Graph, s: GameState) -> None:
     for v in (*s.cops, s.robber):
         check_vertex(g, v)
-    if s.burned >> g.edge_count:
-        raise ValueError("burned mask has bits beyond edge_count")
-    if s.phase not in (COP_TURN, ROBBER_TURN):
-        raise ValueError(f"bad phase {s.phase}")
+    if not (isinstance(s.burned, int) and 0 <= s.burned < 1 << g.edge_count):
+        raise ValueError(f"burned mask {s.burned!r} is not an int in [0, 2**{g.edge_count})")
+    if not (isinstance(s.phase, int) and s.phase in (COP_TURN, ROBBER_TURN)):
+        raise ValueError(f"phase {s.phase!r} is neither COP_TURN (0) nor ROBBER_TURN (1)")
 
 
 def extract_strategy(
@@ -338,10 +343,9 @@ def extract_strategy(
     todo = [root]
     while todo:
         key = todo.pop()
-        kind = game.kind(key)
-        if kind == CAPTURED:
+        if game.captured(key):
             continue
-        if kind == COP_TURN:
+        if key & 1 == COP_TURN:
             best = move = None
             for t in cop_successors(game, key):
                 tid = ids.get(game.canonical(t))

@@ -362,6 +362,23 @@ def test_exhaust_robber_starting_on_a_cop_is_one_node(fam):
     assert (tr.outcome.kind, tr.outcome.round) == ("cop_win", 0)
 
 
+@pytest.mark.parametrize(
+    "placements, budget, nodes",
+    [([(0, 0, 0), (0, 1, 2)], 8, 9), ([(0, 1, 2)], 0, 1)],
+)
+def test_exhaust_budget_counts_a_placement_covering_the_robber(fam, placements, budget, nodes):
+    """The one-node search of a placement that covers the robber's start
+    is held to the budget like every other node."""
+    g = fam("path", 3)
+    v = exhaust_vs_policy(g, FarthestRobber(), placements, k_cops=3, budget=None)
+    assert (v.outcome, v.nodes_searched) == ("beaten", nodes)
+    assert v.counterexample.initial.cops == (0, 1, 2)
+    assert exhaust_vs_policy(g, FarthestRobber(), placements, k_cops=3, budget=nodes) == v
+    with pytest.raises(BudgetExceeded) as err:
+        exhaust_vs_policy(g, FarthestRobber(), placements, k_cops=3, budget=budget)
+    assert err.value.explored == nodes
+
+
 def test_exhaust_skips_starts_on_the_cop_and_repeated_starts(fam):
     g = fam("path", 6)
     cop = GreedyCloserCop(g, (2,))

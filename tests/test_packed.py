@@ -18,10 +18,8 @@ from minimax_oracle import _cop_moves, _robber_moves
 
 from bridgeburn.engine import (
     BRIDGE_BURNING,
-    CAPTURED,
     CLASSIC,
     COP_TURN,
-    ESCAPED,
     ROBBER_TURN,
     GameState,
     IllegalMoveError,
@@ -88,7 +86,7 @@ def test_canonical_clears_far_edges_and_parks_far_cops():
     key = game.canonical(game.encode(s))
     # edge 0-1 has no endpoint on the robber's side; edge 1-2 has one
     assert game.decode(key) == GameState(0b0010, (2, 5), 4, COP_TURN)
-    assert game.kind(key) == COP_TURN
+    assert not game.escaped(key) and not game.captured(key) and key & 1 == COP_TURN
     assert game.canonical(key) == key
     # cop moves keep the quotient: the sentinel cop has no moves
     assert sorted(game.decode(t).cops for t in game.cop_successors(key)) == [
@@ -176,8 +174,9 @@ def test_kind_of_terminal_keys():
     cut = 1 << g.edge_id(1, 2)
     escaped = game.canonical(game.encode(GameState(cut, (0, 1), 3, ROBBER_TURN)))
     assert game.decode(escaped).cops == (4, 4)
-    assert game.kind(escaped) == ESCAPED
-    assert game.kind(game.encode(GameState(0, (1, 3), 3, COP_TURN))) == CAPTURED
+    assert game.escaped(escaped) and not game.captured(escaped)
+    captured = game.encode(GameState(0, (1, 3), 3, COP_TURN))
+    assert game.captured(captured) and not game.escaped(captured)
 
 
 def _applied(apply, *args):
@@ -248,4 +247,4 @@ def test_captured_is_a_cop_on_the_robber(fam, k):
         for t in (s, s._replace(robber=s.cops[-1])):
             key = game.encode(t)
             assert game.captured(key) == is_capture(t)
-            assert game.kind(key) == (CAPTURED if is_capture(t) else t.phase)
+            assert not game.escaped(key) and key & 1 == t.phase

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from bridgeburn.solver import (
     CaptureTimeDomainError,
     DisconnectedGraphError,
     SolveResult,
+    _solve,
     bridge_burning_cop_number,
     capture_time_bb,
     cop_wins_with_k,
@@ -65,6 +67,45 @@ def test_p6_two_cops_win(fam):
 def test_captured_position_is_a_round_zero_cop_win(fam, state):
     v = solve_position(fam("path", 6), state)
     assert (v.winner, v.rounds, v.explored) == ("cop", 0, 1)
+
+
+@pytest.mark.parametrize("phase", [COP_TURN, ROBBER_TURN])
+@pytest.mark.parametrize("cops", [(0,), (0, 0)])
+@pytest.mark.parametrize("burned", [0b010, 0b100])
+def test_escaped_position_is_a_one_state_robber_win(fam, burned, cops, phase):
+    # path 0-1-2-3: burning edge 1-2 or 2-3 cuts the robber at 3 off the cops
+    g = fam("path", 4)
+    state = GameState(burned, cops, 3, phase)
+    v = solve_position(g, state)
+    assert (v.winner, v.rounds, v.explored) == ("robber", None, 1)
+    assert extract_strategy(g, state) is None
+
+
+@pytest.mark.parametrize("variant", [BRIDGE_BURNING, CLASSIC], ids=["burning", "classic"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_only_a_root_is_ever_escaped(k, variant):
+    """The space tests escape on its roots only.  That is sound because a
+    cop move keeps every cop in the robber's component and no successor of
+    an escaping robber move is interned; here every fully expanded space
+    on <= 5 vertices, rooted at robber 0 with no edge, any one edge or
+    every edge at vertex 0 burned, bears that out."""
+    escaped_roots = 0
+    for n in range(1, 6):
+        for g in connected_graph_classes(n):
+            game = PackedGame(g, k, variant)
+            at_zero = sum(1 << eid for _, eid in g.adjacency[0])
+            roots = {}  # canonical key -> root, so the roots stay distinct
+            for burned in (0, at_zero, *(1 << eid for eid in range(g.edge_count))):
+                for p in itertools.combinations_with_replacement(range(n), k):
+                    s = GameState(burned, p, 0, COP_TURN)
+                    roots.setdefault(game.canonical(game.encode(s)), s)
+            space, _, _ = _solve(g, list(roots.values()), variant, None)
+            space.expand_to(math.inf)
+            assert space.fully_expanded
+            assert space.keys[: len(roots)] == list(roots)
+            escaped_roots += sum(map(game.escaped, roots))
+            assert not any(map(game.escaped, space.keys[len(roots):]))
+    assert escaped_roots > 50
 
 
 def test_stalemate_position_robber_win(fam):
@@ -345,6 +386,13 @@ def test_invalid_state_rejected(fam):
         solve_position(g, GameState(0, (9,), 1, COP_TURN))
     with pytest.raises(ValueError):
         solve_position(g, GameState(1 << 30, (0,), 1, COP_TURN))
+    for burned in (None, -1, 0b100, 1.0):
+        with pytest.raises(ValueError, match=rf"^burned mask {burned!r} is not an int in \[0, 2\*\*2\)$"):
+            solve_position(g, GameState(burned, (0,), 2, COP_TURN))
+    for phase in (1.0, 2, -1, None, "0"):
+        for solve in (solve_position, extract_strategy):
+            with pytest.raises(ValueError, match=rf"^phase {phase!r} is neither COP_TURN"):
+                solve(g, GameState(0, (0,), 2, phase))
 
 
 def _reference_placement_search(g, k, rounds_of):
