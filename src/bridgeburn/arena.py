@@ -22,7 +22,7 @@ PackedGame.cop_successors / robber_successors on the key.  On the pinned
 side's turn the key is decoded only to call the policy's choose; its move
 is applied to the key by PackedGame.apply, which checks it with the same
 edge test and errors as apply_cop_moves / apply_robber_move.  Both
-searches expand a node through one function, made by _expander.  A
+searches get that one reply from one function, made by _replier.  A
 robber policy's `robber_start` gives its start vertex and initial state
 in one call per play, so nothing a placement decides outlives that play.
 Every placement is checked against the graph before play from it starts:
@@ -49,8 +49,16 @@ the distinct sources one choose asks for (one for a greedy chaser, up to
 deg + 1 for the farthest robber) times the nodes searched, so the node
 budget bounds it as well.
 
+The depth-first search against a pinned cop keeps no frame for a cop
+node: where a robber move reaches one, it is counted and checked, and its
+one child, the policy's reply, is made and tested at once.  Only a robber
+node gets a stack frame, holding its parent cop node, its successor keys
+and the index of the next one, so the frames spell out the path from the
+root.  The breadth-first search lists a node's children, the pinned
+side's one reply or the free side's successors, where it is popped.
+
 The searches store no move records.  The breadth-first search keeps each
-node's parent node, and the depth-first search's stack is the path to
+node's parent node, and the depth-first search's frames hold the path to
 the node it is on.  Only a counterexample's path is decoded and gets its
 records, re-derived half-turn by half-turn by _records through apply_*,
 as run_match plays: a free robber's move is its new vertex, and a free
@@ -69,7 +77,6 @@ from .engine import (
     GameState,
     IllegalMoveError,
     Outcome,
-    ROBBER_TURN,
     PackedGame,
     Transcript,
     apply_cop_moves,
@@ -216,10 +223,10 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             if len(cops) != k_cops:
                 raise ValueError(f"cop placement {cops} has {len(cops)} cops, but k_cops={k_cops}")
     game = PackedGame(g, k_cops)
-    captured = game.captured
+    captured, moves = game.captured, game.cop_successors
     nodes = 0
     dist = distance_memo(g)
-    children = _expander(g, game, fixed, dist)
+    reply = _replier(g, game, fixed, dist)
     best: tuple[int, list] | None = None  # (capture half-depth, path of nodes)
     for cops in placements:
         try:
@@ -246,10 +253,14 @@ def _exhaust_cops_vs_robber(g, fixed, placements, k_cops, budget):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
-            key = node[0]
+            key, ps = node
             if depth == 0 and not robber_component_check(game, key):
                 break  # the robber starts cut off from every cop
-            for child in children(node):
+            if key & 1 == COP_TURN:
+                children = [(t, ps) for t in moves(key)]
+            else:
+                children = [reply(key, ps)]
+            for child in children:
                 if child in seen:
                     continue
                 seen[child] = node
@@ -281,84 +292,101 @@ def _exhaust_robbers_vs_cop(g, fixed, placements, budget):
             check_vertex(g, r0)
     game = PackedGame(g, len(cops))
     captured, shift = game.captured, game.robber_shift
+    moves = game.robber_successors
     nodes = 0
     dist = distance_memo(g)
-    children = _expander(g, game, fixed, dist)
-    # Iterative DFS; the stack is the path from the root.  A child that is
-    # _GRAY is on that path, so the robber can loop forever, beating the
-    # cop policy.
+    reply = _replier(g, game, fixed, dist)
+
+    def beaten(path, reason):
+        tr = _transcript(g, game, fixed, path, dist)
+        tr.outcome = Outcome("robber_escape", reason=reason)
+        return Verdict("beaten", nodes, tr)
+
+    # Iterative DFS; a frame is [parent cop node, robber node, its successor
+    # keys, the index of the next].  A child that is _GRAY is on the path
+    # the frames hold, so the robber can loop forever, beating the policy.
     status: dict = {}
     for r0 in starts:
         init = GameState(0, cops, r0, COP_TURN)
         if is_capture(init):
             continue
-        root = (game.encode(init), fixed.initial_pstate(g, cops, r0))
-        if root in status:
+        node = (game.encode(init), fixed.initial_pstate(g, cops, r0))
+        if node in status:
             continue  # a repeated start
-        stack: list[tuple] = [(root, None)]  # (node, child iterator)
-        while stack:
-            node, it = stack[-1]
-            if it is None:  # first visit; a pushed node has no status yet
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise BudgetExceeded(nodes)
-                key = node[0]
-                if captured(key):
+        parent = None  # the key of node's parent
+        stack: list[list] = []
+        while node is not None:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(nodes)
+            key, ps = node
+            if captured(key):
+                status[node] = _DONE
+            # only a root or a robber crossing can cut the robber off
+            elif (parent is None or key >> shift != parent >> shift) and not (
+                robber_component_check(game, key, parent)
+            ):
+                return beaten(_on_path(stack) + [node], "isolated")
+            else:
+                status[node] = _GRAY
+                child = reply(key, ps)
+                mark = status.get(child)
+                if mark == _GRAY:
+                    return beaten(_on_path(stack) + [node, child], "repeatable position")
+                if mark == _DONE:
                     status[node] = _DONE
+                else:
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        raise BudgetExceeded(nodes)
+                    # a cop move keeps the robber's component: no escape check
+                    if captured(child[0]):
+                        status[child] = status[node] = _DONE
+                    else:
+                        status[child] = _GRAY
+                        stack.append([node, child, moves(child[0]), 0])
+            # the next cop node: the top robber node's next successor not seen
+            node = None
+            while stack and node is None:
+                frame = stack[-1]
+                up, robber_node, succ, i = frame
+                if i == len(succ):
+                    status[robber_node] = status[up] = _DONE
                     stack.pop()
                     continue
-                # the node under this one on the stack is its parent; only a
-                # root or a robber crossing can cut the robber off
-                parent = stack[-2][0][0] if len(stack) > 1 else None
-                crossed = parent is None or key >> shift != parent >> shift
-                if crossed and not robber_component_check(game, key, parent):
-                    tr = _transcript(g, game, fixed, [n for n, _ in stack], dist)
-                    tr.outcome = Outcome("robber_escape", reason="isolated")
-                    return Verdict("beaten", nodes, tr)
-                status[node] = _GRAY
-                it = iter(children(node))
-                stack[-1] = (node, it)
-            for child in it:
+                frame[3] = i + 1
+                child = (succ[i], robber_node[1])
                 mark = status.get(child)
                 if mark is None:
-                    stack.append((child, None))
-                    break
-                if mark == _GRAY:
-                    # child is on the path to node: close the loop back to it
-                    tr = _transcript(g, game, fixed, [n for n, _ in stack] + [child], dist)
-                    tr.outcome = Outcome("robber_escape", reason="repeatable position")
-                    return Verdict("beaten", nodes, tr)
-            else:
-                status[node] = _DONE
-                stack.pop()
+                    node, parent = child, robber_node[0]
+                elif mark == _GRAY:
+                    # child is on the path to robber_node: close the loop back to it
+                    return beaten(_on_path(stack) + [child], "repeatable position")
     return Verdict("wins", nodes)
+
+
+def _on_path(stack) -> list:
+    """The nodes from the root to the top frame's robber node."""
+    return [n for frame in stack for n in frame[:2]]
+
+
+def _replier(g, game, fixed, dist):
+    """The search's reply(key, ps): the pinned policy's one move from that
+    node, applied to the key by PackedGame.apply, and its new state."""
+    decode, apply, choose = game.decode, game.apply, fixed.choose
+
+    def reply(key: int, ps) -> tuple:
+        move, nps = choose(g, decode(key), ps, dist)
+        try:
+            return apply(key, move), nps
+        except IllegalMoveError as e:
+            raise IllegalPolicyMoveError(fixed, str(e)) from None
+
+    return reply
 
 
 def _pinned_turn(fixed, phase: int) -> bool:
     return (phase == COP_TURN) == (fixed.side == "cop")
-
-
-def _expander(g, game, fixed, dist):
-    """The search's children(node): the pinned policy's one move on its
-    side's turn, applied to the key by PackedGame.apply, else every packed
-    successor of the free side."""
-    if fixed.side == "cop":
-        pinned, free = COP_TURN, game.robber_successors
-    else:
-        pinned, free = ROBBER_TURN, game.cop_successors
-    decode, apply, choose = game.decode, game.apply, fixed.choose
-
-    def children(node) -> list:
-        key, ps = node
-        if key & 1 != pinned:
-            return [(t, ps) for t in free(key)]
-        move, nps = choose(g, decode(key), ps, dist)
-        try:
-            return [(apply(key, move), nps)]
-        except IllegalMoveError as e:
-            raise IllegalPolicyMoveError(fixed, str(e)) from None
-
-    return children
 
 
 def _records(g, fixed, node, child, dist) -> list:

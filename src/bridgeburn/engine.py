@@ -18,7 +18,11 @@ the arena's exhaustive searches expand through
 expands through `cop_successors` and `PackedGame.crossings`, a per-view
 table of robber crossings built from `robber_successors`.
 `escaped(canonical(key))` is the one escape test; `run_match` and the
-arena's searches ask it by `robber_component_check`.  A
+arena's searches ask it by `robber_component_check`.  Its component
+memo searches a component from scratch only at a root: a robber
+crossing's view keeps the parent's component when the crossed edge lies
+on a cycle with no burned edge (`Graph.cycle_masks`), and else updates
+it by `component_after_burn`.  A
 counterexample's cop half-turn gets its records from `cop_dests`, which
 finds the move tuple behind a cop multiset in the order those lists
 use.  The scripted policies ask `cop_move_options` which moves are
@@ -285,8 +289,8 @@ class PackedGame:
 
         `parent`, if given, is the key from which the robber has just
         crossed to key's vertex, and its view must be memoized already; a
-        view not memoized yet then comes from the parent's component by
-        `component_after_burn` instead of a search from scratch.
+        view not memoized yet then comes from the parent's view (see
+        `_view`) instead of a search from scratch.
         """
         high = key >> self.robber_shift
         view = self._views.get(high)
@@ -313,8 +317,7 @@ class PackedGame:
         with the stay left out; only key's view matters.  The crossing's
         canonical key is head | park(key, component), an escape if every
         cop is parked.  Built once per view from `robber_successors` on the
-        cop-less key; each child view comes from key's component by
-        `component_after_burn`.
+        cop-less key; each child view comes from key's view (see `_view`).
         """
         high = key >> self.robber_shift
         table = self._crossings.get(high)
@@ -333,19 +336,35 @@ class PackedGame:
         """The view of `high`, computed and memoized under `high` and under
         its canonical high bits, whose view is the same; so a canonical
         key's view is always memoized, and a crossing out of it gets its
-        component by `component_after_burn`."""
+        view from it."""
         view = self._views[high] = self._view(high, parent)
         self._views.setdefault(view[1] >> self.robber_shift, view)
         return view
 
     def _view(self, high: int, parent: int | None) -> tuple[int, int]:
+        """(robber's component, canonical high bits) of `high`.
+
+        Without a parent, the component is searched from scratch.  With
+        one, the robber has crossed one edge out of the parent's view.  If
+        that edge lies on a cycle with no burned edge, one of
+        `Graph.cycle_masks`, or nothing burns (the classic game), the
+        robber keeps the parent's component; the canonical high bits are
+        then the parent's with the new robber and the crossed edge's bit,
+        which has an endpoint in the component, and nothing is searched.
+        Otherwise `component_after_burn` updates the parent's component.
+        """
         w, m, shift = self.width, self.vertex_mask, self.robber_shift
         r, burned = high & m, high >> w
         if parent is None:
             comp = component_bitmask(self.g, r, burned)
         else:
             before = parent >> shift
-            comp = component_after_burn(self.g, burned, before & m, r, self._views[before][0])
+            comp, head = self._views[before]
+            crossed = burned ^ before >> w  # the crossed edge's bit, or 0
+            for cycle in self.g.cycle_masks(crossed.bit_length() - 1) if crossed else (0,):
+                if not burned & cycle:
+                    return comp, ((head >> shift + w | crossed) << w | r) << shift
+            comp = component_after_burn(self.g, burned, before & m, r, comp)
         if comp == self.all_vertices:  # every edge has an endpoint in comp
             return comp, high << shift
         near = 0
@@ -409,7 +428,7 @@ def robber_component_check(game: PackedGame, key: int, parent: int | None = None
     robber and burned bits) passed this check, so its view is memoized.
     If the robber has not crossed since, the answer is True, as no cop can
     leave its component; else `canonical` gets his component from the
-    parent's by `component_after_burn`.
+    parent's view (see `PackedGame._view`).
     """
     shift = game.robber_shift
     if parent is not None and key >> shift == parent >> shift:

@@ -37,11 +37,22 @@ class Graph:
 
     `edges[eid]` is the normalized (min, max) endpoint pair of edge `eid`.
     `adjacency[v]` lists (neighbor, eid) pairs in edge-insertion order.
+
+    Two tables derived from `adjacency` are built lazily, an entry on its
+    first use, and kept for the graph's life: u's {neighbor: eid}, which
+    `edge_id(u, v)` looks v up in, and `cycle_masks(eid)`, short cycles
+    through edge eid.  Neither takes part in comparison.  Building them calls no other
+    Graph method or search (not even `all_distances_from`), so counts of
+    those calls repeat between two runs of the same work on one graph.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False)
+    _edge_ids: dict[int, dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _cycle_masks: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def edge_count(self) -> int:
@@ -57,16 +68,57 @@ class Graph:
         return any(w == v for (w, _eid) in self.adjacency[u])
 
     def edge_id(self, u: int, v: int) -> int:
-        for (w, eid) in self.adjacency[u]:
-            if w == v:
-                return eid
-        raise GraphError(f"no edge {u}-{v}")
+        table = self._edge_ids.get(u)
+        if table is None:
+            table = self._edge_ids[u] = {w: eid for (w, eid) in self.adjacency[u]}
+        try:
+            return table[v]
+        except (KeyError, TypeError):  # TypeError: v is unhashable
+            raise GraphError(f"no edge {u}-{v}") from None
+
+    def cycle_masks(self, eid: int) -> tuple[int, ...]:
+        """Edge bitmasks of up to 8 shortest paths between the ends of edge
+        eid that avoid it, none if eid is a bridge.  Each mask with eid's
+        bit added is a cycle, so eid lies on a cycle with no burned edge
+        if some mask has none.  Paths of a breadth-first search from one
+        end, taken back from the other in adjacency order."""
+        masks = self._cycle_masks.get(eid)
+        if masks is None:
+            masks = self._cycle_masks[eid] = _shortest_path_masks(self, eid, 8)
+        return masks
 
     def incident_edge_bits(self, v: int) -> int:
         bits = 0
         for (_u, eid) in self.adjacency[v]:
             bits |= 1 << eid
         return bits
+
+
+def _shortest_path_masks(g: Graph, eid: int, limit: int) -> tuple[int, ...]:
+    u, v = g.edges[eid]
+    adjacency = g.adjacency
+    dist = {u: 0}
+    level = [u]
+    while level and v not in dist:
+        nxt = []
+        for x in level:
+            for (y, e) in adjacency[x]:
+                if y not in dist and e != eid:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        level = nxt
+    masks: list[int] = []
+    stack = [(v, 0)] if v in dist else []
+    while stack and len(masks) < limit:
+        x, mask = stack.pop()
+        if x == u:
+            masks.append(mask)
+            continue
+        d = dist[x] - 1
+        for (y, e) in reversed(adjacency[x]):
+            if dist.get(y) == d:
+                stack.append((y, mask | 1 << e))
+    return tuple(masks)
 
 
 def build_graph(vertex_count: int, edges) -> Graph:

@@ -37,7 +37,8 @@ bits, its canonical burned mask and robber, are its view, and many states
 share one: grid(3,4) k=1 has 14,105 states on 739 views.
 `PackedGame.crossings` lists, once per view, the robber's component and
 the canonical high bits after each crossing out of it, each component got
-from the view's own by `graph.component_after_burn`.  A RobberTurn
+from the view's own: kept when the crossed edge lies on a cycle with no
+burned edge, else updated by `graph.component_after_burn`.  A RobberTurn
 state's successors are its stay and, per crossing, those high bits with
 its cops, any cop outside the new component parked at the sentinel.  A
 RobberTurn state with an escaping move is a robber win, so none of its
@@ -306,6 +307,8 @@ def _solve(
 
 
 def _validate_state(g: Graph, s: GameState) -> None:
+    if not (isinstance(s.cops, tuple) and s.cops):
+        raise ValueError(f"cops {s.cops!r} is not a non-empty tuple of vertices")
     for v in (*s.cops, s.robber):
         check_vertex(g, v)
     if not (isinstance(s.burned, int) and 0 <= s.burned < 1 << g.edge_count):

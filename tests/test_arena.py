@@ -242,14 +242,24 @@ def _record_searches(monkeypatch) -> dict:
 
 
 def test_exhaust_searches_each_component_from_scratch_once_per_start(fam, monkeypatch):
-    """Below a root, a robber crossing updates the parent's component
-    instead of searching the robber's from scratch."""
+    """Below a root, a robber crossing keeps the parent's component when
+    the crossed edge lies on an intact cycle, and else updates it, instead
+    of searching the robber's from scratch."""
     g = fam("hypercube", 4)
     keys = _record_searches(monkeypatch)
     v = exhaust_vs_policy(g, HypercubeMirrorCop(g))
     assert (v.outcome, v.nodes_searched) == ("wins", 14446)
     starts = [r for r in range(16) if r != 15]  # the cop starts on 15
     assert keys["component_bitmask"] == [(0, r) for r in starts]
+    # every crossing the mirror cop allows keeps a 4-cycle intact
+    assert keys["component_after_burn"] == []
+    # on a cycle, every crossing after the first is a bridge
+    g = fam("cycle", 12)
+    for searched in keys.values():
+        searched.clear()
+    v = exhaust_vs_policy(g, GuardStartVertexCop(g, 0))
+    assert v.outcome == "wins"
+    assert keys["component_bitmask"] == [(0, r) for r in range(1, 12)]
     assert len(set(keys["component_after_burn"])) == len(keys["component_after_burn"]) > 0
 
 
@@ -553,3 +563,80 @@ def test_exhaust_pinned_robber_illegal_move_is_the_match_error(fam, walk, nodes,
     searched = _illegal_move_message(lambda: exhaust_vs_policy(g, robber, [(0,)], budget=nodes))
     played = _illegal_move_message(lambda: run_match(g, StationaryCop(g, (0,)), robber))
     assert searched == played == f"policy 'walk' returned an illegal move: {detail}"
+
+
+class _SettlingCop(StationaryCop):
+    """Stays put; its state is 0 at the start and 1 from its first move on,
+    so its second move from the same key is a new node with the first
+    one's reply."""
+
+    name = "settling"
+
+    def initial_pstate(self, g, cops, robber):
+        return 0
+
+    def choose(self, g, state, pstate, dist):
+        return tuple(state.cops), 1
+
+
+def _turns(*moves) -> list[dict]:
+    """Counterexample JSON turns from (actor, from, to, burned) tuples."""
+    return [{"actor": a, "from": f, "to": t, "burned": b} for a, f, t, b in moves]
+
+
+@pytest.mark.parametrize(
+    "family, params, make, start, nodes, reason, turns",
+    [
+        # the robber stays: the loop closes on the cop's node
+        ("grid", (2, 3), StationaryCop, 5, 2, "repeatable position",
+         _turns(("cop0", 0, 0, None), ("robber", 5, 5, None))),
+        # the cop's second reply is its first one's node: the loop closes on
+        # the robber's node
+        ("cycle", (6,), _SettlingCop, 3, 3, "repeatable position",
+         _turns(("cop0", 0, 0, None), ("robber", 3, 3, None), ("cop0", 0, 0, None))),
+        # the robber's first crossing away from the cop cuts him off
+        ("path", (4,), GreedyCloserCop, 2, 6, "isolated",
+         _turns(("cop0", 0, 1, None), ("robber", 2, 3, 2))),
+        ("grid", (3, 3), GreedyCloserCop, 8, 59, "isolated",
+         _turns(("cop0", 0, 1, None), ("robber", 8, 5, 9), ("cop0", 1, 2, None),
+                ("robber", 5, 4, 7), ("cop0", 2, 1, None), ("robber", 4, 3, 5),
+                ("cop0", 1, 0, None), ("robber", 3, 6, 6), ("cop0", 0, 1, None),
+                ("robber", 6, 7, 10), ("cop0", 1, 4, None), ("robber", 7, 8, 11))),
+    ],
+    ids=["stay-grid2x3", "settling-cycle6", "escape-path4", "escape-grid3x3"],
+)
+def test_exhaust_pinned_cop_search_ends_pinned(
+    fam, family, params, make, start, nodes, reason, turns
+):
+    """How the depth-first search ends against a pinned cop: a loop that
+    closes on a cop's node or on a robber's, or an escape.  Node counts
+    and counterexamples are pinned."""
+    g = fam(family, *params)
+    v = exhaust_vs_policy(g, make(g, (0,)), [start])
+    assert (v.outcome, v.nodes_searched) == ("beaten", nodes)
+    tr = v.counterexample.to_json_dict()
+    assert (tr["cops0"], tr["robber0"], tr["turns"]) == ([0], start, turns)
+    assert tr["outcome"] == {"kind": "robber_escape", "round": None, "reason": reason}
+    v.counterexample.replay()
+
+
+@pytest.mark.parametrize(
+    "family, n, make, outcome, nodes",
+    [
+        ("cycle", 6, lambda g: StationaryCop(g, (0,)), "beaten", 2),
+        ("cycle", 6, lambda g: GreedyCloserCop(g, (0,)), "wins", 65),
+        ("hypercube", 3, lambda g: HypercubeMirrorCop(g), "wins", 183),
+    ],
+    ids=["stationary-cycle6", "greedy-cycle6", "mirror-q3"],
+)
+def test_exhaust_pinned_cop_budget_stops_at_each_node(fam, family, n, make, outcome, nodes):
+    """Every budget below the node count stops the search at the node past
+    it; the node count itself gives the full verdict."""
+    g = fam(family, n)
+    full = exhaust_vs_policy(g, make(g))
+    assert (full.outcome, full.nodes_searched) == (outcome, nodes)
+    for budget in range(1, nodes):
+        with pytest.raises(BudgetExceeded) as e:
+            exhaust_vs_policy(g, make(g), budget=budget)
+        assert e.value.explored == budget + 1
+    assert exhaust_vs_policy(g, make(g), budget=nodes).to_json_dict() == full.to_json_dict()

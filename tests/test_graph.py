@@ -9,6 +9,7 @@ from bridgeburn.enumeration import connected_graph_classes
 from bridgeburn.graph import (
     UNREACHABLE,
     DuplicateEdgeError,
+    GraphError,
     SelfLoopError,
     VertexRangeError,
     _refine,
@@ -146,6 +147,37 @@ def test_component_after_burn_and_distance_memo_along_random_trails(name, make):
         assert branches == {"v's side ran out", "u's side ran out"}
     else:
         assert "meet" in branches
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("path", (5,)), ("cycle", (6,)), ("grid", (3, 4)), ("hypercube", (4,)),
+     ("complete", (6,)), ("torus", (4, 5)), ("spider", (3, 1, 4))],
+)
+def test_lazy_edge_tables(fam, family, params):
+    """edge_id(v, y) is the eid of v's edge to y, and a GraphError for any
+    other y, an unhashable one too.  cycle_masks(eid) holds distinct
+    shortest paths, at most 8, between the ends of eid that avoid it, so
+    each closes a simple cycle with eid, and none for a bridge.  Neither
+    table changes the graph's equality or hash."""
+    g = fam(family, *params)
+    fresh = fam(family, *params)
+    for v in range(g.vertex_count):
+        assert [g.edge_id(v, y) for y in g.neighbors(v)] == [eid for _y, eid in g.adjacency[v]]
+        for y in (*(set(range(g.vertex_count)) - set(g.neighbors(v))), -1, [1]):
+            with pytest.raises(GraphError, match=f"no edge {v}-"):
+                g.edge_id(v, y)
+    for eid, (u, v) in enumerate(g.edges):
+        masks = g.cycle_masks(eid)
+        length = all_distances_from(g, u, 1 << eid)[v]
+        assert (masks == ()) == (length == UNREACHABLE)
+        assert len(set(masks)) == len(masks) <= 8
+        for mask in masks:
+            assert not mask >> eid & 1 and mask.bit_count() == length
+            degree = Counter(x for e, ends in enumerate(g.edges) if (mask | 1 << eid) >> e & 1
+                             for x in ends)
+            assert set(degree.values()) == {2} and len(degree) == length + 1
+    assert g == fresh and hash(g) == hash(fresh)
 
 
 def test_distance_memo_holds_every_distance_on_large_graphs():

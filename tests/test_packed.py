@@ -29,6 +29,7 @@ from bridgeburn.engine import (
     cop_move_options,
     is_capture,
 )
+from bridgeburn import engine
 from bridgeburn.graph import build_graph, component_bitmask
 
 
@@ -168,6 +169,48 @@ def test_crossings_table_follows_the_rules(fam, family, params, k, variant):
     assert (escapes > 5) == variant.burning
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "family,params",
+    [("cycle", (6,)), ("grid", (2, 3)), ("grid", (3, 3)), ("complete", (4,)),
+     ("hypercube", (3,)), ("torus", (3, 3))],
+)
+def test_cycle_shortcut_is_exact(fam, monkeypatch, family, params, k):
+    """A robber crossing whose edge lies on a cycle with no burned edge
+    (one of Graph.cycle_masks) keeps the parent's component, with no
+    search; any other updates the parent's component.  Over every crossing
+    out of every view the robber can reach from any start, canonical(t,
+    key) equals canonical(t) of a reference PackedGame that is never given
+    a parent, so it searches every view from scratch, and both kinds of
+    crossing occur.  The cops of each crossing take the placements in turn."""
+    g = fam(family, *params)
+    updates, parents = [], []
+    after_burn, view = engine.component_after_burn, PackedGame._view
+    monkeypatch.setattr(
+        engine, "component_after_burn", lambda *args: updates.append(args) or after_burn(*args))
+    monkeypatch.setattr(
+        PackedGame, "_view", lambda game, high, parent: parents.append(parent) or view(game, high, parent))
+    game, reference = PackedGame(g, k), PackedGame(g, k)
+    placements = [game.pack_cops(p)
+                  for p in itertools.combinations_with_replacement(range(g.vertex_count), k)]
+    shift = game.robber_shift
+    todo = [game.encode(GameState(0, (0,) * k, r, ROBBER_TURN)) for r in range(g.vertex_count)]
+    seen = {key >> shift for key in todo}
+    crossings = 0
+    while todo:
+        key = todo.pop()
+        game.canonical(key)  # a start's view; any other is memoized by now
+        for t in game.robber_successors(key)[1:]:
+            t = t & ~game.cops_mask | placements[crossings % len(placements)]
+            crossings += 1
+            assert game.canonical(t, key) == reference.canonical(t)
+            if t >> shift not in seen:
+                seen.add(t >> shift)
+                todo.append(t | ROBBER_TURN)
+    shortcuts = sum(p is not None for p in parents) - len(updates)
+    assert shortcuts > 0 and len(updates) > 0
+
+
 def test_kind_of_terminal_keys():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     game = PackedGame(g, 2)
@@ -180,21 +223,29 @@ def test_kind_of_terminal_keys():
 
 
 def _applied(apply, *args):
-    """apply(*args), or the message of the IllegalMoveError it raises."""
+    """apply(*args), or the message of the IllegalMoveError it raises, or
+    the type and message of any other exception."""
     try:
         return apply(*args)
     except IllegalMoveError as e:
         return str(e)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+_NOT_VERTICES = [2.0, True, 2.5, [1], (1,)]
 
 
 def _moves(g, s, w):
     """Moves of the side to move in s, legal or not.  The robber's are every
     vertex and vertex 2**w, which packed unchecked would spill into the
-    next field; the cops' are every legal move tuple, then every one-cop
-    teleport to a vertex or 2**w that cop cannot reach."""
+    next field, then values that are not vertices, equal to one or
+    unhashable; the cops' are every legal move tuple, then every one-cop
+    teleport to a vertex or 2**w that cop cannot reach, then each of those
+    values as the whole move and as one cop's destination."""
     far = [*range(g.vertex_count), 1 << w]
     if s.phase == ROBBER_TURN:
-        return far
+        return far + _NOT_VERTICES
     options = [cop_move_options(g, s.burned, c) for c in s.cops]
     legal = list(itertools.product(*options))
     teleports = [
@@ -203,7 +254,8 @@ def _moves(g, s, w):
         for v in far
         if v not in opts
     ]
-    return legal + teleports
+    odd = [s.cops[:i] + (x,) + s.cops[i + 1:] for i in range(len(s.cops)) for x in _NOT_VERTICES]
+    return legal + teleports + _NOT_VERTICES + odd
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -211,10 +263,12 @@ def _moves(g, s, w):
 def test_apply_matches_the_rules_on_states(fam, family, params, k):
     """PackedGame.apply(key, move) is the key of the state apply_cop_moves /
     apply_robber_move give, on every live reachable key and every legal
-    move, and an illegal move raises the same IllegalMoveError."""
+    move, and an illegal move raises the same IllegalMoveError; a move
+    that is not a vertex gives the same exception.  An unhashable
+    destination is not an edge."""
     g = fam(family, *params)
     game = PackedGame(g, k)
-    legal = illegal = 0
+    legal = illegal = unhashable = 0
     for s in _reachable(g, k, BRIDGE_BURNING):
         key = game.encode(s)
         for move in _moves(g, s, game.width):
@@ -227,7 +281,8 @@ def test_apply_matches_the_rules_on_states(fam, family, params, k):
                 legal += 1
             else:
                 illegal += 1
-    assert legal > 100 and illegal > 100
+                unhashable += str(want).endswith("->[1] is not an edge")
+    assert legal > 100 and illegal > 100 and unhashable > 10
 
 
 def test_apply_checks_the_number_of_cop_moves():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from minimax_oracle import oracle_capture_time, oracle_rounds
@@ -393,6 +394,10 @@ def test_invalid_state_rejected(fam):
         for solve in (solve_position, extract_strategy):
             with pytest.raises(ValueError, match=rf"^phase {phase!r} is neither COP_TURN"):
                 solve(g, GameState(0, (0,), 2, phase))
+    for cops in (None, 0, [0], (), "0"):
+        for solve in (solve_position, extract_strategy):
+            with pytest.raises(ValueError, match=rf"^cops {re.escape(repr(cops))} is not a non-empty tuple"):
+                solve(g, GameState(0, cops, 1, COP_TURN))
 
 
 def _reference_placement_search(g, k, rounds_of):
